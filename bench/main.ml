@@ -17,19 +17,13 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "==============================================================\n"
 
-(* Engine for kernel-booting experiments (--engine interp|slots|compiled).
-   Simulated results are engine-independent; this only changes how long
-   the harness takes on the host. *)
-let kernel_engine = ref Vg_compiler.Exec_engine.Compiled
-
 (* Every bench kernel boots through the fleet Node_config: the bench
-   profile is a big machine (256 MiB, 64 MiB disk) with the selected
-   execution engine. *)
+   profile is a big machine (256 MiB, 64 MiB disk). *)
 let bench_config ?(seed = "bench") ?(cpus = 1) ?(spec_depth = 0) mode =
   Node_config.(
     default |> with_cpus cpus |> with_phys_frames 65536
     |> with_disk_sectors 131072 |> with_seed seed |> with_mode mode
-    |> with_engine !kernel_engine |> with_spec_depth spec_depth)
+    |> with_spec_depth spec_depth)
 
 let boot_fresh ?seed mode = Node.kernel (Node.boot (bench_config ?seed mode))
 
@@ -1000,7 +994,7 @@ let trans_cache_measure image =
 
 type engine_row = { e_cycles : int; e_instrs : int; e_ns_per_run : float }
 
-let bench_json () =
+let executor () =
   let fixtures =
     let collatz = collatz_program ()
     and recsum = rec_sum_program ()
@@ -1156,8 +1150,6 @@ let bench_json () =
     "min long-workload speedup, plain   (compiled vs interp): %.1fx\n"
     min_long_plain;
   print_endline "wrote BENCH_executor.json"
-
-let executor = bench_json
 
 (* ------------------------------------------------------------------ *)
 (* SMP: httpd worker-pool scaling across cores                         *)
@@ -1598,8 +1590,7 @@ let spectre_bench () =
   List.iter
     (fun (label, spec_depth, mitigation) ->
       let o =
-        Vg_attacks.Spectre.run_experiment ~engine:!kernel_engine ~spec_depth
-          ~mitigation ()
+        Vg_attacks.Spectre.run_experiment ~spec_depth ~mitigation ()
       in
       Bench_report.linef r "%-10s %6d %11s %5d/%d %9d %9d\n" label spec_depth
         (Vg_compiler.Mitigation.to_string mitigation)
@@ -1898,36 +1889,20 @@ let experiments =
     ("executor", executor);
   ]
 
-(* Strip a leading "--engine NAME" pair (anywhere in the argument list)
-   and set [kernel_engine] accordingly. *)
-let rec extract_engine = function
-  | "--engine" :: name :: rest -> (
-      match Vg_compiler.Exec_engine.of_string name with
-      | Some e ->
-          kernel_engine := e;
-          extract_engine rest
-      | None ->
-          Printf.eprintf "unknown engine %s (interp|slots|compiled)\n" name;
-          Stdlib.exit 2)
-  | arg :: rest -> arg :: extract_engine rest
-  | [] -> []
-
 let () =
-  let args = extract_engine (List.tl (Array.to_list Sys.argv)) in
-  match args with
-  | [ "--list" ] ->
-      List.iter (fun (name, _) -> print_endline name) experiments;
-      print_endline "bechamel";
-      print_endline "json"
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "--list" ] -> List.iter (fun (name, _) -> print_endline name) experiments
   | [ "--bechamel" ] -> bechamel ()
-  | [ "--json" ] -> bench_json ()
   | [] ->
       Printf.printf "Virtual Ghost reproduction — full benchmark run\n";
       List.iter (fun (_, f) -> f ()) experiments
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> f ()
-          | None -> Printf.eprintf "unknown experiment %s (try --list)\n" name)
-        names
+  | names -> (
+      (* Resolve every name before running anything, so a typo fails
+         fast instead of after the experiments before it. *)
+      match List.filter (fun n -> not (List.mem_assoc n experiments)) names with
+      | [] -> List.iter (fun name -> (List.assoc name experiments) ()) names
+      | unknown ->
+          List.iter
+            (Printf.eprintf "unknown experiment %s (try --list)\n")
+            unknown;
+          Stdlib.exit 2)

@@ -22,31 +22,6 @@ let mode_conv =
 let mode_arg =
   Arg.(value & opt mode_conv Sva.Virtual_ghost & info [ "mode" ] ~doc:"Kernel build: native or vg.")
 
-let engine_conv =
-  let parse s =
-    match Vg_compiler.Exec_engine.of_string s with
-    | Some e -> Ok e
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown engine %s (interp|slots|compiled)" s))
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Vg_compiler.Exec_engine.to_string e)
-  in
-  Arg.conv (parse, print)
-
-(* The CLI defaults to the fast engine: every engine charges identical
-   simulated cycles, so this only changes host time. *)
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Vg_compiler.Exec_engine.Compiled
-    & info [ "engine" ]
-        ~doc:
-          "Execution engine for translated kernel-mode code: interp (debug \
-           AST walker), slots (slot executor) or compiled (closure-compiled, \
-           default).  Simulated cycles are identical across engines; only \
-           host speed differs.")
-
 let cpus_arg =
   Arg.(
     value & opt int 1
@@ -105,23 +80,21 @@ let mem_frames_arg =
            swap through the sealed ghost-swap path (encrypted, integrity- \
            and freshness-checked by the VM); see the ghost_swap benchmark.")
 
-let node_config ?frame_limit ?(cpus = 1)
-    ?(engine = Vg_compiler.Exec_engine.Compiled) ?(spec_depth = 0)
+let node_config ?frame_limit ?(cpus = 1) ?(spec_depth = 0)
     ?(spec_mitigation = Vg_compiler.Mitigation.Off) mode =
   let config =
     Node_config.(
       default |> with_cpus cpus |> with_seed "vgsim" |> with_mode mode
-      |> with_engine engine |> with_spec_depth spec_depth
+      |> with_spec_depth spec_depth
       |> with_spec_mitigation spec_mitigation)
   in
   match frame_limit with
   | None -> config
   | Some l -> Node_config.with_frame_limit l config
 
-let boot ?frame_limit ?cpus ?engine ?spec_depth ?spec_mitigation mode =
+let boot ?frame_limit ?cpus ?spec_depth ?spec_mitigation mode =
   let node =
-    Node.boot
-      (node_config ?frame_limit ?cpus ?engine ?spec_depth ?spec_mitigation mode)
+    Node.boot (node_config ?frame_limit ?cpus ?spec_depth ?spec_mitigation mode)
   in
   (Node.machine node, Node.kernel node)
 
@@ -312,9 +285,9 @@ let attack_cmd =
     Arg.(value & opt attack_conv Vg_attacks.Rootkit.Direct_read
          & info [ "attack" ] ~doc:"Attack: direct (read victim memory) or inject (signal handler).")
   in
-  let run mode cpus engine attack trace stats =
+  let run mode cpus attack trace stats =
     with_obs ~trace ~stats (fun () ->
-        let o = Vg_attacks.Rootkit.run_experiment ~cpus ~engine ~mode ~attack () in
+        let o = Vg_attacks.Rootkit.run_experiment ~cpus ~mode ~attack () in
         Format.printf "%a@." Vg_attacks.Rootkit.pp_outcome o;
         let stolen =
           o.Vg_attacks.Rootkit.secret_leaked_to_console || o.secret_in_exfil_file
@@ -324,8 +297,7 @@ let attack_cmd =
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run a section-7 rootkit experiment.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ attack_arg $ trace_arg
-          $ stats_arg)
+    Term.(const run $ mode_arg $ cpus_arg $ attack_arg $ trace_arg $ stats_arg)
 
 (* -- spectre -------------------------------------------------------- *)
 
@@ -338,12 +310,9 @@ let spectre_cmd =
             "Speculative-window budget in macro-ops (default 12; the leak \
              needs at least 8, and 0 disables speculation entirely).")
   in
-  let run depth mitigation engine trace stats =
+  let run depth mitigation trace stats =
     with_obs ~trace ~stats (fun () ->
-        let o =
-          Vg_attacks.Spectre.run_experiment ~engine ~spec_depth:depth
-            ~mitigation ()
-        in
+        let o = Vg_attacks.Spectre.run_experiment ~spec_depth:depth ~mitigation () in
         Format.printf "%a@." Vg_attacks.Spectre.pp_outcome o;
         Format.printf "verdict: the secret was %s@."
           (if o.Vg_attacks.Spectre.success then "STOLEN transiently"
@@ -355,8 +324,7 @@ let spectre_cmd =
          "Run the Spectre-v1 flush+reload attack against ghost memory: a \
           hostile module leaks the ssh-agent key byte-by-byte through the \
           cache side channel of mispredicted sandbox masks.")
-    Term.(const run $ depth_arg $ mitigation_arg $ engine_arg $ trace_arg
-          $ stats_arg)
+    Term.(const run $ depth_arg $ mitigation_arg $ trace_arg $ stats_arg)
 
 (* -- sealed store demo ---------------------------------------------- *)
 
@@ -415,11 +383,11 @@ let lmbench_cmd =
   let iters_arg =
     Arg.(value & opt int 500 & info [ "iterations" ] ~doc:"Iterations.")
   in
-  let run mode cpus engine mem_frames spec_depth spec_mitigation op iterations
+  let run mode cpus mem_frames spec_depth spec_mitigation op iterations
       trace stats =
     with_obs ~trace ~stats (fun () ->
         let _, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~engine ~spec_depth
+          boot ?frame_limit:mem_frames ~cpus ~spec_depth
             ~spec_mitigation mode
         in
         Runtime.launch kernel ~ghosting:false (fun ctx ->
@@ -440,7 +408,7 @@ let lmbench_cmd =
   in
   Cmd.v
     (Cmd.info "lmbench" ~doc:"Run one LMBench micro-operation.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ mem_frames_arg
+    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg
           $ spec_depth_arg $ mitigation_arg $ op_arg $ iters_arg $ trace_arg
           $ stats_arg)
 
@@ -461,11 +429,11 @@ let httpd_cmd =
          & info [ "batch" ] ~doc:"Ring submissions per ring_enter trap \
                                   (event-loop mode only).")
   in
-  let run mode cpus engine mem_frames spec_depth spec_mitigation requests
+  let run mode cpus mem_frames spec_depth spec_mitigation requests
       event_loop batch trace stats =
     with_obs ~trace ~stats (fun () ->
         let machine, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~engine ~spec_depth
+          boot ?frame_limit:mem_frames ~cpus ~spec_depth
             ~spec_mitigation mode
         in
         (match Diskfs.create kernel.Kernel.fs "/index.html" with
@@ -514,7 +482,7 @@ let httpd_cmd =
          "Serve an 8KB document under the preemptive scheduler: a worker \
           pool per core, or (with --event-loop) a per-core event loop \
           batching syscalls through the submission ring.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ mem_frames_arg
+    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg
           $ spec_depth_arg $ mitigation_arg $ requests_arg $ event_loop_arg
           $ batch_arg $ trace_arg $ stats_arg)
 
@@ -527,11 +495,11 @@ let postmark_cmd =
   let files_arg =
     Arg.(value & opt int 100 & info [ "files" ] ~doc:"Base file count.")
   in
-  let run mode cpus engine mem_frames spec_depth spec_mitigation transactions
+  let run mode cpus mem_frames spec_depth spec_mitigation transactions
       base_files trace stats =
     with_obs ~trace ~stats (fun () ->
         let machine, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~engine ~spec_depth
+          boot ?frame_limit:mem_frames ~cpus ~spec_depth
             ~spec_mitigation mode
         in
         Runtime.launch kernel ~ghosting:false (fun ctx ->
@@ -548,7 +516,7 @@ let postmark_cmd =
   in
   Cmd.v
     (Cmd.info "postmark" ~doc:"Run the Postmark file-system benchmark.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ mem_frames_arg
+    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg
           $ spec_depth_arg $ mitigation_arg $ tx_arg $ files_arg $ trace_arg
           $ stats_arg)
 
@@ -590,10 +558,10 @@ let fleet_cmd =
             "Run the background mixed load (ghosting Postmark plus the ssh \
              key chain) on every serving node alongside the HTTP wave.")
   in
-  let run mode cpus engine nodes requests policy mixed trace stats =
+  let run mode cpus nodes requests policy mixed trace stats =
     with_obs ~trace ~stats (fun () ->
         let config =
-          node_config ~cpus ~engine mode |> Node_config.with_seed "fleet"
+          node_config ~cpus mode |> Node_config.with_seed "fleet"
         in
         let fleet = Fleet.create ~policy ~nodes config in
         Fleet.listen_all fleet ~port:80;
@@ -628,7 +596,7 @@ let fleet_cmd =
          "Boot an N-node fleet wired NIC-to-NIC, balance a wave of HTTP \
           requests across the event-loop backends and print per-node and \
           aggregate throughput.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ nodes_arg
+    Term.(const run $ mode_arg $ cpus_arg $ nodes_arg
           $ requests_arg $ policy_arg $ mixed_arg $ trace_arg $ stats_arg)
 
 (* -- policy --------------------------------------------------------- *)
@@ -658,7 +626,7 @@ let policy_cmd =
     workload recorder;
     recorder
   in
-  let run app cpus engine =
+  let run app cpus =
     let recorded_app k = function
       | "httpd" ->
           Some
@@ -693,7 +661,7 @@ let policy_cmd =
                      ignore (Ssh_suite.load_private_key ctx ~path:"/id"))))
       | _ -> None
     in
-    let _, k = boot ~cpus ~engine Sva.Virtual_ghost in
+    let _, k = boot ~cpus Sva.Virtual_ghost in
     match recorded_app k app with
     | Some pol -> print_policy ~how:"recorded from the workload" app pol
     | None -> (
@@ -720,7 +688,7 @@ let policy_cmd =
          "Print an application's syscall-flow-integrity profile — the \
           transition graph the kernel enforces at dispatch — recorded from \
           a workload run or extracted statically from a linked image.")
-    Term.(const run $ app_arg $ cpus_arg $ engine_arg)
+    Term.(const run $ app_arg $ cpus_arg)
 
 let () =
   let doc = "Virtual Ghost (ASPLOS 2014) reproduction simulator" in

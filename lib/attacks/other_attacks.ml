@@ -1,14 +1,11 @@
 let secret = "ghost-page-secret-value!"
 
-let boot_config ?engine ?(cpus = 1) ~seed mode =
-  let config =
-    Vg_fleet.Node_config.(
-      default |> with_cpus cpus |> with_phys_frames 8192
-      |> with_disk_sectors 8192 |> with_seed seed |> with_mode mode)
-  in
-  match engine with
-  | None -> config
-  | Some e -> Vg_fleet.Node_config.with_engine e config
+let boot_config ?(engine = Vg_fleet.Node_config.default.engine) ?(cpus = 1)
+    ~seed mode =
+  Vg_fleet.Node_config.(
+    default |> with_cpus cpus |> with_phys_frames 8192
+    |> with_disk_sectors 8192 |> with_seed seed |> with_mode mode
+    |> with_engine engine)
 
 let boot ?engine mode =
   Vg_fleet.Node.kernel (Vg_fleet.Node.boot (boot_config ?engine ~seed:"oatk" mode))

@@ -69,6 +69,8 @@ let module_program ~attack ~victim_pid ~target_va ~target_len ~scratch_va =
 
 let scratch_va = Int64.add Layout.kernel_data_start 0x8000L
 
+(* Attack-independent setup: register the kernel helper API and map a
+   kernel scratch page for the module; returns the scratch address. *)
 let prepare_kernel (k : Kernel.t) =
   Syscalls.register_builtin_externs k;
   (* Give the module a kernel data page to stage stolen bytes in. *)
@@ -83,6 +85,11 @@ let prepare_kernel (k : Kernel.t) =
   | None -> failwith "rootkit setup: out of frames");
   scratch_va
 
+(* Wire the [extern.inject_code] helper so that "copying exploit code
+   into the mmap'ed buffer" registers a closure at that address in the
+   victim's text map.  The payload reads the exfiltration descriptor the
+   module staged at the buffer's start, copies the secret from the
+   victim's (ghost) heap into traditional memory, and writes it out. *)
 let register_exploit_payload (k : Kernel.t) ~victim ~secret_va ~secret_len =
   Hashtbl.replace k.Kernel.module_externs "extern.inject_code"
     (fun k _caller args ->
@@ -197,15 +204,12 @@ let infect k ~attack =
     victim_survived = !survived;
   }
 
-let run_experiment ?(cpus = 1) ?engine ~mode ~attack () =
+let run_experiment ?(cpus = 1) ?(engine = Vg_fleet.Node_config.default.engine)
+    ~mode ~attack () =
   let config =
     Vg_fleet.Node_config.(
       default |> with_cpus cpus |> with_phys_frames 16384
-      |> with_disk_sectors 16384 |> with_seed "sec-exp" |> with_mode mode)
-  in
-  let config =
-    match engine with
-    | None -> config
-    | Some e -> Vg_fleet.Node_config.with_engine e config
+      |> with_disk_sectors 16384 |> with_seed "sec-exp" |> with_mode mode
+      |> with_engine engine)
   in
   infect (Vg_fleet.Node.kernel (Vg_fleet.Node.boot config)) ~attack

@@ -29,17 +29,6 @@ val module_program :
     in the victim's address space; [scratch_va] is a kernel-data page
     the module uses as its buffer. *)
 
-val prepare_kernel : Kernel.t -> int64
-(** Attack-independent setup: register the kernel helper API and map a
-    kernel scratch page for the module; returns the scratch address. *)
-
-val register_exploit_payload : Kernel.t -> victim:Runtime.ctx -> secret_va:int64 -> secret_len:int -> unit
-(** Wire the [extern.inject_code] helper so that "copying exploit code
-    into the mmap'ed buffer" registers a closure at that address in the
-    victim's text map.  The payload reads the exfiltration descriptor
-    the module staged at the buffer's start, copies the secret from the
-    victim's (ghost) heap into traditional memory, and writes it out. *)
-
 type outcome = {
   attack : attack;
   mode : Sva.mode;
@@ -71,9 +60,9 @@ val run_experiment :
     core), start the ghosting ssh-agent holding a known secret, load
     the malicious module, trigger the victim's [read], and inspect the
     aftermath.  [engine] selects the kernel's execution engine for the
-    module's code (default the slot executor); outcomes and Security
-    events are engine-independent — pinned by the attack parity
-    tests. *)
+    module's code (default [Compiled]; the parity tests also run the
+    [Slots] oracle); outcomes and Security events are
+    engine-independent — pinned by the attack parity tests. *)
 
 val secret_string : string
 (** The planted secret the attacks hunt for. *)

@@ -18,6 +18,8 @@
    the attack recovers nothing; at depth 0 the machine has no cache
    side channel at all. *)
 
+(* Printable ASCII, no NUL: the prober cannot tell byte 0 from the
+   absorbed architectural access. *)
 let secret_string = "gh0st-SPECTRE-key!47"
 
 let probe_lines = 256
@@ -82,19 +84,14 @@ let pp_outcome fmt o =
 
 let align64 va = Int64.logand (Int64.add va 63L) (Int64.lognot 63L)
 
-let run_experiment ?(cpus = 1) ?engine ?(spec_depth = 12)
-    ?(mitigation = Vg_compiler.Mitigation.Off) () =
+let run_experiment ?(cpus = 1) ?(engine = Vg_fleet.Node_config.default.engine)
+    ?(spec_depth = 12) ?(mitigation = Vg_compiler.Mitigation.Off) () =
   let config =
     Vg_fleet.Node_config.(
       default |> with_cpus cpus |> with_phys_frames 16384
       |> with_disk_sectors 16384 |> with_spec_depth spec_depth
       |> with_seed "spectre" |> with_mode Sva.Virtual_ghost
-      |> with_spec_mitigation mitigation)
-  in
-  let config =
-    match engine with
-    | None -> config
-    | Some e -> Vg_fleet.Node_config.with_engine e config
+      |> with_spec_mitigation mitigation |> with_engine engine)
   in
   let node = Vg_fleet.Node.boot config in
   let machine = Vg_fleet.Node.machine node in

@@ -18,14 +18,6 @@
     branchless masking sequence — no select to mispredict) closes the
     channel at any depth. *)
 
-val secret_string : string
-(** What the victim ssh-agent parks in ghost memory (printable ASCII,
-    no NUL — the prober cannot distinguish byte 0 from the absorbed
-    architectural access). *)
-
-val probe_lines : int
-val line_size : int
-
 val module_program : probe_base:int64 -> Ir.program
 (** The hostile module: a [sys_read] leak gadget and a [sys_lseek]
     reload prober over a 256-line probe array at [probe_base]

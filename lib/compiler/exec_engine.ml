@@ -1,14 +1,4 @@
-type t = Interp | Slots | Compiled
+type t = Slots | Compiled
 
-let all = [ Interp; Slots; Compiled ]
-
-let to_string = function
-  | Interp -> "interp"
-  | Slots -> "slots"
-  | Compiled -> "compiled"
-
-let of_string = function
-  | "interp" -> Some Interp
-  | "slots" -> Some Slots
-  | "compiled" -> Some Compiled
-  | _ -> None
+let all = [ Slots; Compiled ]
+let to_string = function Slots -> "slots" | Compiled -> "compiled"

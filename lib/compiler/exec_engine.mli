@@ -1,24 +1,21 @@
 (** Which execution engine runs verified kernel/module images.
 
-    All three engines charge the same simulated cycles on the code they
-    can run — the choice only affects host time (and, for [Interp],
-    which artifact is executed):
+    Both engines run the same linked, verified image and charge
+    byte-identical simulated cycles, events and trajectories; the
+    choice only affects host time:
 
-    - [Interp] re-runs the instrumented IR on the reference interpreter
-      ({!Vg_ir.Interp}).  A debugging aid: it models the cost of the
-      code the compiler {e would} emit but has no notion of CFI labels,
-      checked returns or native addresses, so CFI cycle charges,
-      [tamper_return] and {!Executor.Cfi_violation} do not exist on
-      this engine.
-    - [Slots] interprets the linked, slot-allocated image
-      ({!Executor}).  The reference for the full cost model.
     - [Compiled] runs the load-time closure translation
-      ({!Exec_compile}) of the same linked image: byte-identical
-      simulated cycles and trajectories to [Slots], about an order of
-      magnitude faster in host time. *)
+      ({!Exec_compile}) of the linked image.  The production engine:
+      every node boots with it unless a test asks otherwise.
+    - [Slots] interprets the linked, slot-allocated image
+      ({!Executor}).  The reference for the full cost model, kept as
+      the oracle that parity tests, goldens and the differential fuzz
+      select explicitly.
 
-type t = Interp | Slots | Compiled
+    The IR interpreter ({!Vg_ir.Interp}) is not a kernel engine; it is
+    the compiler tests' oracle for the instrumented IR. *)
+
+type t = Slots | Compiled
 
 val all : t list
 val to_string : t -> string
-val of_string : string -> t option

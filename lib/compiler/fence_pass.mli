@@ -14,7 +14,3 @@ val fence_cycles : int
     {!Vg_obs.Obs.Tag.Spec} tag (12). *)
 
 val instrument_program : Ir.program -> Ir.program
-val instrument_func : Ir.func -> Ir.func
-
-val instrument_instr : Ir.instr -> Ir.instr list
-(** [Fence; op] for memory operations, identity otherwise. *)

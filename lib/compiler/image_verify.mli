@@ -54,10 +54,6 @@
 
 type invariant = Mask | Cfi_exit | Cfi_label | Privileged | Control | Policy | Spec
 
-val invariant_to_string : invariant -> string
-(** Stable kebab-case names: ["mask"], ["cfi-exit"], ["cfi-label"],
-    ["privileged"], ["control"], ["policy"], ["spec"]. *)
-
 type violation = {
   func : string;  (** owning function, or ["<image>"] *)
   slot : int;  (** lcode index of the offending instruction *)

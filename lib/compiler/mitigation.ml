@@ -7,7 +7,6 @@ type t =
   | Fence  (** lfence between each mask window and its access *)
   | Safe_mask  (** branchless masking: the mask is a data dependency *)
 
-let all = [ Off; Fence; Safe_mask ]
 let to_string = function Off -> "off" | Fence -> "fence" | Safe_mask -> "safe-mask"
 
 let of_string = function

@@ -14,7 +14,6 @@ type t =
   | Fence  (** lfence between each mask window and its access *)
   | Safe_mask  (** branchless masking: the mask is a data dependency *)
 
-val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 

@@ -23,5 +23,3 @@
     time — the fuzz suite checks both orderings. *)
 
 val optimize_program : Ir.program -> Ir.program
-
-val optimize_func : Ir.func -> Ir.func

@@ -3,7 +3,6 @@ type mode = Native_build | Virtual_ghost
 type compiled = {
   image : Native.image;
   linked : Linker.image;
-  instrumented_ir : Ir.program;
   mode : mode;
 }
 
@@ -28,7 +27,7 @@ let compile_kernel_code ?(mode = Virtual_ghost) ?(optimize = false)
       (match Cfi_pass.validate_uninstrumented image with
       | Ok () -> ()
       | Error _ -> raise (Rejected "native build contains CFI artifacts"));
-      { image; linked = Linker.link image; instrumented_ir = program; mode }
+      { image; linked = Linker.link image; mode }
   | Virtual_ghost ->
       (* the mitigation selects the masking variant; the fence pass then
          adds its lfences between each mask window and its access *)
@@ -47,10 +46,10 @@ let compile_kernel_code ?(mode = Virtual_ghost) ?(optimize = false)
               (List.map (fun (v : Cfi_pass.violation) -> v.message) violations)
           in
           raise (Rejected ("CFI audit failed: " ^ msg)));
-      { image; linked = Linker.link image; instrumented_ir = instrumented; mode }
+      { image; linked = Linker.link image; mode }
 
 let compile_application_code ?(mmap_callees = [ "extern.mmap" ]) ?base program =
   verify_or_reject program;
   let instrumented = Mmap_mask_pass.instrument_program ~mmap_callees program in
   let image = Codegen.compile ?base ~cfi:false instrumented in
-  { image; linked = Linker.link image; instrumented_ir = instrumented; mode = Native_build }
+  { image; linked = Linker.link image; mode = Native_build }

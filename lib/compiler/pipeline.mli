@@ -17,7 +17,6 @@ type compiled = {
   linked : Linker.image;
       (** the executor-ready linked form of [image]; what the signed
           translation cache stores and the executor runs *)
-  instrumented_ir : Ir.program;  (** the IR actually lowered *)
   mode : mode;
 }
 

@@ -71,14 +71,6 @@ let safe_mask_sequence (addr : Ir.value) : Ir.instr list * Ir.value =
 
 let safe_mask_instructions = 9
 
-(* Total instructions between a window's first instruction and its
-   memory access, per mitigation (the fence pass adds its lfence
-   between the classic window and the access). *)
-let window_size = function
-  | Mitigation.Off -> 7
-  | Mitigation.Fence -> 8
-  | Mitigation.Safe_mask -> safe_mask_instructions
-
 let sequence_for = function
   | Mitigation.Off | Mitigation.Fence -> mask_sequence
   | Mitigation.Safe_mask -> safe_mask_sequence

@@ -23,8 +23,6 @@ val instrument_program : ?mitigation:Mitigation.t -> Ir.program -> Ir.program
     the separate {!Fence_pass}); [Safe_mask] uses the branchless
     data-dependency sequence. *)
 
-val instrument_func : ?mitigation:Mitigation.t -> Ir.func -> Ir.func
-
 val instrument_instr : ?mitigation:Mitigation.t -> Ir.instr -> Ir.instr list
 (** The per-instruction transform: a memory operation becomes the mask
     sequence(s) plus the rewritten operation; anything else is returned
@@ -33,11 +31,6 @@ val instrument_instr : ?mitigation:Mitigation.t -> Ir.instr -> Ir.instr list
 
 val safe_mask_instructions : int
 (** Length of the branchless [Safe_mask] sequence (9). *)
-
-val window_size : Mitigation.t -> int
-(** Instructions between a mask window's first instruction and the
-    memory access it guards, per mitigation: 7 / 8 (incl. the lfence) /
-    9. *)
 
 val masked_address : int64 -> int64
 (** The run-time semantics of the inserted sequence, as one function:

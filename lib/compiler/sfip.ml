@@ -27,7 +27,6 @@ let create ~n =
   if n <= 0 || n > 4096 then invalid_arg "Sfip.create: bad size";
   { n; entry = Bytes.make (bits n) '\000'; matrix = Bytes.make (bits (n * n)) '\000' }
 
-let size g = g.n
 let in_range g s = s >= 0 && s < g.n
 
 let allow_entry g s =
@@ -43,8 +42,6 @@ let allowed g ~from ~to_ = in_range g from && in_range g to_ && bit_get g.matrix
 
 let equal a b =
   a.n = b.n && Bytes.equal a.entry b.entry && Bytes.equal a.matrix b.matrix
-
-let copy g = { g with entry = Bytes.copy g.entry; matrix = Bytes.copy g.matrix }
 
 let entry_count g =
   let c = ref 0 in

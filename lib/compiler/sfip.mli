@@ -23,8 +23,6 @@ val create : n:int -> graph
 (** Empty graph over [n] syscalls.  Raises [Invalid_argument] unless
     [0 < n <= 4096]. *)
 
-val size : graph -> int
-
 val allow_entry : graph -> int -> unit
 (** Permit a syscall as the first one issued. *)
 
@@ -38,11 +36,8 @@ val allowed : graph -> from:int -> to_:int -> bool
 (** False for out-of-range numbers. *)
 
 val equal : graph -> graph -> bool
-val copy : graph -> graph
 val entry_count : graph -> int
 val transition_count : graph -> int
-val iter_entries : graph -> (int -> unit) -> unit
-val iter_transitions : graph -> (from:int -> to_:int -> unit) -> unit
 
 val to_bytes : graph -> Bytes.t
 (** Versioned wire form, suitable for embedding in a signed image. *)

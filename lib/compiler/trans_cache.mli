@@ -41,18 +41,12 @@ type signed_image = { blob : bytes; tag : bytes }
 type find_error =
   | Absent  (** no entry under that name *)
   | Bad_signature  (** blob or tag modified, or signed under another key *)
-  | Bad_format  (** verified blob of a different {!format_version} *)
+  | Bad_format  (** verified blob of a different serialisation format version *)
   | Rejected_by_verifier of Image_verify.violation list
       (** the signature verified but the image does not uphold the
           instrumentation invariants *)
 
 val describe_find_error : find_error -> string
-
-val format_version : int
-(** Serialisation format of the signed blobs (6: linked images plus the
-    instrumented flag, the Spectre mitigation the image was compiled
-    under, and an optional syscall-flow graph, with compiled-readiness
-    cached alongside). *)
 
 val set_syscall_resolver : t -> n:int -> (string -> int option) -> unit
 (** Bind the syscall table this cache re-proves policies against: [n]

@@ -18,9 +18,3 @@ val encrypt_block : key -> bytes -> bytes
 
 val decrypt_block : key -> bytes -> bytes
 (** [decrypt_block k cipher] decrypts one 16-byte block. *)
-
-val block_size : int
-(** 16. *)
-
-val key_size : int
-(** 16. *)

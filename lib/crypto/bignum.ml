@@ -224,8 +224,6 @@ let mod_pow ~base ~exp ~modulus =
     !result
   end
 
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
-
 (* Extended Euclid over signed pairs (sign, magnitude). *)
 let mod_inverse a ~modulus =
   let a = rem a modulus in
@@ -373,5 +371,3 @@ let generate_prime rng ~bits =
     else attempt ()
   in
   attempt ()
-
-let pp fmt v = Format.fprintf fmt "0x%s" (Bytes_util.to_hex (to_bytes_be v))

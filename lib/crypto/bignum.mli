@@ -8,9 +8,7 @@
 
 type t
 
-val zero : t
 val one : t
-val two : t
 
 val of_int : int -> t
 (** @raise Invalid_argument on a negative argument. *)
@@ -20,8 +18,6 @@ val to_int : t -> int option
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val is_zero : t -> bool
-val is_even : t -> bool
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -40,12 +36,8 @@ val shift_right : t -> int -> t
 val bit_length : t -> int
 (** Number of significant bits; 0 for zero. *)
 
-val test_bit : t -> int -> bool
-
 val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** Modular exponentiation by square-and-multiply. *)
-
-val gcd : t -> t -> t
 
 val mod_inverse : t -> modulus:t -> t option
 (** Multiplicative inverse, if the argument is coprime to the modulus. *)
@@ -56,17 +48,8 @@ val to_bytes_be : ?len:int -> t -> bytes
     zeros to [len] when given.
     @raise Invalid_argument if [v] does not fit in [len] bytes. *)
 
-val random_bits : Drbg.t -> int -> t
-(** Uniform value with at most the given number of bits. *)
-
-val random_below : Drbg.t -> t -> t
-(** Uniform value in [0, bound). @raise Invalid_argument on zero bound. *)
-
 val is_probable_prime : Drbg.t -> t -> bool
 (** Trial division by small primes, then 24 Miller-Rabin rounds. *)
 
 val generate_prime : Drbg.t -> bits:int -> t
 (** Random probable prime with exactly [bits] bits (top bit set). *)
-
-val pp : Format.formatter -> t -> unit
-(** Hexadecimal rendering. *)

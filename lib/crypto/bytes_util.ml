@@ -47,4 +47,3 @@ let set_u32_le = Bytes.set_int32_le
 let get_u64_be = Bytes.get_int64_be
 let set_u64_be = Bytes.set_int64_be
 let get_u64_le = Bytes.get_int64_le
-let set_u64_le = Bytes.set_int64_le

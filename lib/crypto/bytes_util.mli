@@ -39,6 +39,3 @@ val set_u64_be : bytes -> int -> int64 -> unit
 
 val get_u64_le : bytes -> int -> int64
 (** Little-endian 64-bit load. *)
-
-val set_u64_le : bytes -> int -> int64 -> unit
-(** Little-endian 64-bit store. *)

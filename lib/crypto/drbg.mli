@@ -14,9 +14,6 @@ val create : seed:bytes -> t
 val bytes : t -> int -> bytes
 (** [bytes t n] produces [n] fresh random bytes and advances the state. *)
 
-val uint64 : t -> int64
-(** Next 64 random bits. *)
-
 val int_below : t -> int -> int
 (** [int_below t n] is uniform in [0, n).  @raise Invalid_argument if
     [n <= 0]. *)

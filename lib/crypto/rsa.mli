@@ -20,9 +20,6 @@ val generate : Drbg.t -> bits:int -> private_
 (** [generate rng ~bits] makes a key whose modulus has [bits] bits
     ([bits] must be even and >= 128). *)
 
-val modulus_bytes : public -> int
-(** Size in bytes of values handled by this key. *)
-
 val encrypt : public -> Drbg.t -> bytes -> bytes
 (** [encrypt pub rng msg] wraps [msg] (at most [modulus_bytes - 34]
     bytes) with random padding and encrypts it.

@@ -26,8 +26,6 @@ type ctx = {
   w : int32 array; (* scratch message schedule *)
 }
 
-let digest_size = 32
-
 let init () =
   {
     h =

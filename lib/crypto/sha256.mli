@@ -24,6 +24,3 @@ val digest : bytes -> bytes
 
 val digest_string : string -> bytes
 (** One-shot hash of a string. *)
-
-val digest_size : int
-(** 32. *)

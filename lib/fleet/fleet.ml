@@ -38,7 +38,6 @@ type t = {
 let size t = Array.length t.nodes
 let node t i = t.nodes.(i).node
 let lb t = t.lb
-let node_stats t i = t.nodes.(i).stats
 let security_events t i = List.rev !(t.nodes.(i).security)
 let restarts t i = t.nodes.(i).restarts
 let last_mixed t i = t.nodes.(i).last_mixed
@@ -115,7 +114,7 @@ let create ?(policy = Lb.Round_robin) ~nodes:n config =
            (Printf.sprintf "%s-n%d" config.Node_config.seed i)
       |> Node_config.with_obs obs
     in
-    let node = Node.boot ~id:i cfg in
+    let node = Node.boot cfg in
     let dummy, _ = Nic.pair () in
     {
       node;
@@ -147,7 +146,7 @@ let restart_node t i =
   Obs.attach obs (Obs_stats.sink st.stats);
   st.security := [];
   Obs.attach obs (security_sink st.security);
-  st.node <- Node.boot ~id:i (per_node_config t i obs);
+  st.node <- Node.boot (per_node_config t i obs);
   st.restarts <- st.restarts + 1;
   wire t i;
   apply_node_setup t i;
@@ -163,9 +162,6 @@ let setup_www t ~path data =
     (fun st ->
       match Node.www st.node ~path data with Ok () | Error _ -> ())
     t.nodes
-
-let mark_down t i = Lb.set_up t.lb i false
-let readmit t i = Lb.set_up t.lb i true
 
 (* Quarantine any node whose kernel raised Security events since its
    last clean boot; returns the quarantined ids with their event
@@ -281,7 +277,6 @@ let serve_wave ?(batch = 8) ?(mixed = false) t ~port ~path ~requests =
         else begin
           let stats =
             Httpd.Event_loop.serve ~batch
-              ?sfip:t.config.Node_config.sfip
               ?background:
                 (if mixed then Some (fun sched -> mixed_background t i sched)
                  else None)
@@ -398,6 +393,7 @@ let bytes_contains hay needle =
     !found
   end
 
+(* The switch logs every forwarded frame verbatim. *)
 let wire_log_contains t needle = bytes_contains (Buffer.to_bytes t.wire_log) needle
 
 let distribute_key ?(port = 2022) ?(path = "/fleet-id") t ~src ~dst =

@@ -26,11 +26,6 @@ val size : t -> int
 val node : t -> int -> Node.t
 val lb : t -> Lb.t
 
-val pump : t -> unit
-(** Forward every frame queued on any switch port.  Called
-    automatically from each node's [Netstack.poll]; exposed for
-    tests. *)
-
 val listen_all : t -> port:int -> unit
 (** Open a listener on every node (remembered and re-applied when a
     node restarts). *)
@@ -44,9 +39,6 @@ val restart_node : t -> int -> unit
     file system, listeners and documents re-applied, security log
     cleared — and re-admit it to the balancer. *)
 
-val mark_down : t -> int -> unit
-val readmit : t -> int -> unit
-
 val check_health : t -> (int * int) list
 (** Quarantine (drain) every admitted node whose kernel has raised
     [Security] events since its last clean boot; returns
@@ -54,7 +46,6 @@ val check_health : t -> (int * int) list
 
 (** {1 Per-node observability} *)
 
-val node_stats : t -> int -> Obs_stats.t
 val security_events : t -> int -> string list
 val restarts : t -> int -> int
 
@@ -137,7 +128,3 @@ val distribute_key : ?port:int -> ?path:string -> t -> src:int -> dst:int ->
     under the shared application key, and node [dst] re-seals it at
     rest via {!Sealed_store}.  Both ends recover the application key
     through the VM from their signed images, never from the OS. *)
-
-val wire_log_contains : t -> bytes -> bool
-(** Did these exact bytes cross the fabric in any forwarded frame?
-    (The switch logs every frame verbatim.) *)

@@ -31,14 +31,10 @@ let create ~nodes policy =
     cursor = 0;
   }
 
-let nodes t = t.n
 let policy t = t.policy
 let set_up t i b = t.up.(i) <- b
 let is_up t i = t.up.(i)
-let up_count t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.up
 let assigned t i = t.assigned.(i)
-let inflight t i = t.inflight.(i)
-let completed t i = t.completed.(i)
 
 let assign t =
   let pick =

@@ -10,7 +10,6 @@ val policy_of_string : string -> policy option
 type t
 
 val create : nodes:int -> policy -> t
-val nodes : t -> int
 val policy : t -> policy
 
 val set_up : t -> int -> bool -> unit
@@ -19,7 +18,6 @@ val set_up : t -> int -> bool -> unit
     {!complete}d. *)
 
 val is_up : t -> int -> bool
-val up_count : t -> int
 
 val assign : t -> int option
 (** Pick a node for one request ([None] when every node is drained)
@@ -30,6 +28,3 @@ val complete : t -> int -> unit
 
 val assigned : t -> int -> int
 (** Requests ever assigned to the node. *)
-
-val inflight : t -> int -> int
-val completed : t -> int -> int

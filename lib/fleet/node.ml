@@ -1,32 +1,30 @@
 type t = {
-  id : int;
   config : Node_config.t;
   machine : Machine.t;
   kernel : Kernel.t;
 }
 
-let boot ?(id = 0) (config : Node_config.t) =
-  let machine = Node_config.create_machine config in
-  let kernel =
-    Kernel.boot ?frame_limit:config.Node_config.frame_limit
-      ~engine:config.Node_config.engine
-      ~spec_mitigation:config.Node_config.spec_mitigation
-      ~mode:config.Node_config.mode machine
-  in
-  { id; config; machine; kernel }
+let boot_kernel (config : Node_config.t) machine =
+  Kernel.boot ~frame_limit:config.Node_config.frame_limit
+    ~engine:config.Node_config.engine
+    ~spec_mitigation:config.Node_config.spec_mitigation
+    ~mode:config.Node_config.mode machine
 
-let id t = t.id
-let config t = t.config
+let boot (config : Node_config.t) =
+  let machine =
+    Machine.create ~cpus:config.cpus ~phys_frames:config.phys_frames
+      ~disk_sectors:config.disk_sectors ?obs:config.obs
+      ~spec_depth:config.spec_depth ~seed:config.seed ()
+  in
+  { config; machine; kernel = boot_kernel config machine }
+
+let reboot t = { t with kernel = boot_kernel t.config t.machine }
+
 let machine t = t.machine
 let kernel t = t.kernel
 let net t = t.kernel.Kernel.net
-let mode t = t.config.Node_config.mode
 
-let launch t ?image ?sfip ~ghosting body =
-  let sfip =
-    match sfip with Some _ -> sfip | None -> t.config.Node_config.sfip
-  in
-  Runtime.launch t.kernel ?image ?sfip ~ghosting body
+let launch t ?image ~ghosting body = Runtime.launch t.kernel ?image ~ghosting body
 
 let listen t ~port = Netstack.listen t.kernel.Kernel.net ~port
 

@@ -1,27 +1,25 @@
-(** A booted machine + kernel pair: the single entry point replacing
-    direct [Machine.create] / [Kernel.boot] call chains.  {!boot} is
-    cycle-identical to the two-call form for equal configuration —
-    the compat contract the golden tests pin. *)
+(** A booted machine + kernel pair: the only boot path.  {!boot} and
+    {!reboot} are the only callers of [Kernel.boot]; the simulated
+    numbers of a booted node are pinned by the goldens in
+    test/golden. *)
 
 type t
 
-val boot : ?id:int -> Node_config.t -> t
-(** Create the machine and boot the kernel described by the config.
-    [id] (default 0) is the node's fleet-wide identity; standalone
-    callers never need it. *)
+val boot : Node_config.t -> t
+(** Create the machine and boot the kernel described by the config. *)
 
-val id : t -> int
-val config : t -> Node_config.t
+val reboot : t -> t
+(** A fresh kernel on the same machine — disk, TPM and physical memory
+    carry over — with the same config.  The file system is
+    remounted from the disk; processes, modules and other in-memory
+    kernel state do not survive.  Do not use the old node afterwards. *)
+
 val machine : t -> Machine.t
 val kernel : t -> Kernel.t
 val net : t -> Netstack.t
-val mode : t -> Sva.mode
 
-val launch :
-  t -> ?image:Appimage.t -> ?sfip:Syscall_policy.t -> ghosting:bool ->
-  (Runtime.ctx -> 'a) -> 'a
-(** {!Runtime.launch} on this node's kernel; when [?sfip] is omitted
-    the node config's policy (if any) applies. *)
+val launch : t -> ?image:Appimage.t -> ghosting:bool -> (Runtime.ctx -> 'a) -> 'a
+(** {!Runtime.launch} on this node's kernel. *)
 
 val listen : t -> port:int -> unit Errno.result
 val www : t -> path:string -> bytes -> unit Errno.result

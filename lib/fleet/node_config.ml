@@ -1,8 +1,6 @@
 (* One record replaces the optional-argument sprawl of
-   [Machine.create] + [Kernel.boot].  Every default here is the
-   corresponding historical default, so [Node.boot default] is
-   cycle-identical to the bare two-call boot — golden-pinned by
-   test/fleet. *)
+   [Machine.create] + [Kernel.boot].  This is the only place the boot
+   defaults live; [Kernel.boot] takes every argument explicitly. *)
 
 type t = {
   cpus : int;
@@ -15,7 +13,6 @@ type t = {
   engine : Vg_compiler.Exec_engine.t;
   spec_mitigation : Vg_compiler.Mitigation.t;
   frame_limit : int option;
-  sfip : Syscall_policy.t option;
 }
 
 let default =
@@ -27,10 +24,9 @@ let default =
     seed = "node";
     obs = None;
     mode = Sva.Virtual_ghost;
-    engine = Vg_compiler.Exec_engine.Slots;
+    engine = Vg_compiler.Exec_engine.Compiled;
     spec_mitigation = Vg_compiler.Mitigation.Off;
     frame_limit = None;
-    sfip = None;
   }
 
 let with_cpus cpus t = { t with cpus }
@@ -43,12 +39,6 @@ let with_mode mode t = { t with mode }
 let with_engine engine t = { t with engine }
 let with_spec_mitigation spec_mitigation t = { t with spec_mitigation }
 let with_frame_limit limit t = { t with frame_limit = Some limit }
-let with_sfip sfip t = { t with sfip = Some sfip }
-
-let create_machine t =
-  Machine.create ~cpus:t.cpus ~phys_frames:t.phys_frames
-    ~disk_sectors:t.disk_sectors ?obs:t.obs ~spec_depth:t.spec_depth
-    ~seed:t.seed ()
 
 let describe t =
   Printf.sprintf "%s cpus=%d frames=%d depth=%d engine=%s mitigation=%s%s"

@@ -12,10 +12,10 @@
       |> Node.boot
     ]}
 
-    Every default equals the corresponding historical default of the
-    two-call form, and booting through {!Node.boot} is cycle-identical
-    to calling the two functions directly (golden-pinned in
-    test/fleet). *)
+    This record is the only place the boot defaults live:
+    [Kernel.boot] takes every argument explicitly, and {!Node.boot} and
+    {!Node.reboot} are its only callers.  The simulated numbers of a default boot are
+    pinned by the goldens in test/golden. *)
 
 type t = {
   cpus : int;  (** default 1 *)
@@ -25,12 +25,11 @@ type t = {
   seed : string;  (** determinises TPM + entropy; default ["node"] *)
   obs : Obs.t option;  (** default: the process-wide {!Obs.default} *)
   mode : Sva.mode;  (** default [Virtual_ghost] *)
-  engine : Vg_compiler.Exec_engine.t;  (** default [Slots] *)
+  engine : Vg_compiler.Exec_engine.t;
+      (** default [Compiled], the production engine; tests select the
+          [Slots] oracle explicitly *)
   spec_mitigation : Vg_compiler.Mitigation.t;  (** default [Off] *)
   frame_limit : int option;  (** kernel frame-allocator cap; default none *)
-  sfip : Syscall_policy.t option;
-      (** syscall-flow policy the node's serving processes run under;
-          default none *)
 }
 
 val default : t
@@ -45,12 +44,6 @@ val with_mode : Sva.mode -> t -> t
 val with_engine : Vg_compiler.Exec_engine.t -> t -> t
 val with_spec_mitigation : Vg_compiler.Mitigation.t -> t -> t
 val with_frame_limit : int -> t -> t
-val with_sfip : Syscall_policy.t -> t -> t
-
-val create_machine : t -> Machine.t
-(** The machine half of a boot — for callers that need a bare machine
-    (no kernel), e.g. attack harnesses that boot the kernel
-    themselves. *)
 
 val describe : t -> string
 (** One-line human summary for logs and CLI output. *)

@@ -51,10 +51,6 @@ let fresh b prefix =
   b.counter <- b.counter + 1;
   Printf.sprintf "%%%s%d" prefix b.counter
 
-let fresh_label b prefix =
-  b.counter <- b.counter + 1;
-  Printf.sprintf "%s%d" prefix b.counter
-
 let emit b instr =
   let f = current b in
   (match f.current.term with
@@ -102,16 +98,12 @@ let call_indirect b target args =
   emit b (Ir.Call_indirect { dst = Some dst; target; args });
   Ir.Reg dst
 
-let call_indirect_void b target args =
-  emit b (Ir.Call_indirect { dst = None; target; args })
-
 let io_read b port =
   let dst = fresh b "io" in
   emit b (Ir.Io_read { dst; port });
   Ir.Reg dst
 
 let io_write b ~port src = emit b (Ir.Io_write { port; src })
-let fence b = emit b Ir.Fence
 
 let terminate b term =
   let f = current b in

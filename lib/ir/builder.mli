@@ -24,11 +24,6 @@ val block : t -> Ir.label -> unit
 (** Finish the current block (it must already be terminated) and open a
     new one. *)
 
-val fresh : t -> string -> Ir.reg
-(** Fresh register with a human-readable prefix. *)
-
-val fresh_label : t -> string -> Ir.label
-
 val bin : t -> Ir.binop -> Ir.value -> Ir.value -> Ir.value
 val cmp : t -> Ir.cmp -> Ir.value -> Ir.value -> Ir.value
 val select : t -> Ir.value -> Ir.value -> Ir.value -> Ir.value
@@ -41,10 +36,8 @@ val call : t -> string -> Ir.value list -> Ir.value
 
 val call_void : t -> string -> Ir.value list -> unit
 val call_indirect : t -> Ir.value -> Ir.value list -> Ir.value
-val call_indirect_void : t -> Ir.value -> Ir.value list -> unit
 val io_read : t -> Ir.value -> Ir.value
 val io_write : t -> port:Ir.value -> Ir.value -> unit
-val fence : t -> unit
 
 val ret : t -> Ir.value option -> unit
 val br : t -> Ir.label -> unit

@@ -2,9 +2,4 @@
     textual syntax.  Used in tests and by the [vg-compile] inspection
     tool; there is no parser — programs are built with {!Builder}. *)
 
-val pp_value : Format.formatter -> Ir.value -> unit
-val pp_instr : Format.formatter -> Ir.instr -> unit
-val pp_terminator : Format.formatter -> Ir.terminator -> unit
-val pp_func : Format.formatter -> Ir.func -> unit
-val pp_program : Format.formatter -> Ir.program -> unit
 val program_to_string : Ir.program -> string

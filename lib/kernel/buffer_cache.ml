@@ -27,7 +27,6 @@ let create ?(capacity = 1024) ~kmem disk =
   }
 
 let set_lock t lock = t.lock <- Some lock
-let lock t = t.lock
 
 (* Every public operation runs under the cache's spinlock once the
    kernel installs one (free on one CPU; a cache-line transfer when
@@ -41,8 +40,6 @@ let guarded t f =
       if Spinlock.held_by_current l then f () else Spinlock.with_lock l f
 
 let blocks t = Disk.sectors t.disk / sectors_per_block
-let hits t = t.hits
-let misses t = t.misses
 
 let flush_entry t b entry =
   if entry.dirty then begin

@@ -34,12 +34,7 @@ val view : t -> int -> (bytes -> 'a) -> 'a
 val sync : t -> unit
 (** Flush all dirty blocks. *)
 
-val hits : t -> int
-val misses : t -> int
-
 val set_lock : t -> Spinlock.t -> unit
 (** Install the spinlock guarding every cache operation (the kernel
     does this at boot).  Free on a 1-CPU machine; cross-core
     alternation pays the cache-line transfer. *)
-
-val lock : t -> Spinlock.t option

@@ -177,53 +177,12 @@ let run_override (k : Kernel.t) proc (ov : Kernel.syscall_override) args : int64
       spec_window = (fun () -> Machine.spec_window_opened machine);
     }
   in
-  (* Engine dispatch.  A compiled artifact exists iff the kernel booted
-     with the Compiled engine (and only via the verifying
-     [Trans_cache.find_compiled] path); the Interp debug engine re-runs
-     the instrumented IR on the reference interpreter over the same
-     callbacks (it cannot model CFI — see {!Vg_compiler.Exec_engine});
-     everything else is the slot-file executor. *)
+  (* A compiled artifact exists iff the kernel booted with the Compiled
+     engine (and only via the verifying [Trans_cache.find_compiled]
+     path); otherwise the slot-file executor runs the same image. *)
   match ov.Kernel.compiled with
-  | Some artifact ->
-      Vg_compiler.Exec_compile.run env artifact ov.Kernel.func args
-  | None -> (
-      match k.Kernel.engine with
-      | Vg_compiler.Exec_engine.Interp ->
-          let native = ov.Kernel.image.Vg_compiler.Linker.native in
-          let ienv =
-            {
-              Interp.load = env.Vg_compiler.Executor.load;
-              store = env.Vg_compiler.Executor.store;
-              memcpy = env.Vg_compiler.Executor.memcpy;
-              io_read = env.Vg_compiler.Executor.io_read;
-              io_write = env.Vg_compiler.Executor.io_write;
-              extern = env.Vg_compiler.Executor.extern;
-              resolve_sym =
-                (fun sym ->
-                  match Vg_compiler.Native.addr_of_symbol native sym with
-                  | Some a -> a
-                  | None -> 0L);
-              func_of_addr =
-                (fun addr ->
-                  List.find_map
-                    (fun (s : Vg_compiler.Native.symbol) ->
-                      if
-                        Vg_compiler.Native.addr_of_index native
-                          s.Vg_compiler.Native.entry
-                        = addr
-                      then Some s.Vg_compiler.Native.name
-                      else None)
-                    native.Vg_compiler.Native.symbols);
-              charge = (fun n -> Machine.charge ~tag:Obs.Tag.Exec machine n);
-              fence =
-                (fun () ->
-                  Machine.charge ~tag:Obs.Tag.Spec machine
-                    Vg_compiler.Fence_pass.fence_cycles);
-            }
-          in
-          Interp.run ienv ov.Kernel.program ov.Kernel.func args
-      | Vg_compiler.Exec_engine.Slots | Vg_compiler.Exec_engine.Compiled ->
-          Vg_compiler.Executor.run env ov.Kernel.image ov.Kernel.func args)
+  | Some artifact -> Vg_compiler.Exec_compile.run env artifact ov.Kernel.func args
+  | None -> Vg_compiler.Executor.run env ov.Kernel.image ov.Kernel.func args
 
 (* ------------------------------------------------------------------ *)
 (* The unified dispatch                                                *)

@@ -73,9 +73,3 @@ val run :
     ABI-encoded result register.  Callers are expected to be inside a
     trap or a typed wrapper; this performs no trap protocol of its
     own. *)
-
-val run_override :
-  Kernel.t -> Proc.t -> Kernel.syscall_override -> int64 array -> int64
-(** Execute a loadable-module override body on the kernel's execution
-    engine (exposed for {!run}'s internal use and tests; raises
-    {!Vg_compiler.Executor.Cfi_violation} like any module code). *)

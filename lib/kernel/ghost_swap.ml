@@ -263,6 +263,8 @@ let swap_out_one k =
 
 (* {2 Reclaim and watermarks} *)
 
+(* Evict until [available] reaches [target]; returns the number of
+   pages swapped out. *)
 let reclaim k ~target =
   let s = k.Kernel.swap in
   let evicted = ref 0 in

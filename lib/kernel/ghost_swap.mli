@@ -38,10 +38,6 @@ val take_frames : Kernel.t -> int -> int list option
     this is exactly the pre-engine allocation (one global allocator
     grab under [frame_lock]). *)
 
-val put_frame : Kernel.t -> int -> unit
-(** Return one frame: to the current core's pool while it has room,
-    else to the global allocator. *)
-
 val ensure_frames : Kernel.t -> wanted:int -> unit
 (** Memory-pressure hook: evict ghost pages until [wanted] frames are
     available (or nothing is left to evict). *)
@@ -52,13 +48,9 @@ val ensure_free : Kernel.t -> wanted:int -> unit
     pooled frames back to the allocator, then evict ghost pages until
     it can satisfy [wanted] or nothing is left to evict. *)
 
-val reclaim : Kernel.t -> target:int -> int
-(** Evict until {!available} reaches [target]; returns the number of
-    pages swapped out. *)
-
 val balance : Kernel.t -> int
 (** Watermark hysteresis: if availability is below the low watermark,
-    {!reclaim} up to the high one; otherwise do nothing. *)
+    evict up to the high one; otherwise do nothing. *)
 
 val set_watermarks : Kernel.t -> low:int -> high:int -> unit
 (** Override the boot-time watermarks (tests, tuning).

@@ -28,7 +28,6 @@ type t = {
 and syscall_override = {
   image : Vg_compiler.Linker.image;
   func : string;
-  program : Ir.program;
   compiled : Vg_compiler.Exec_compile.t option;
 }
 
@@ -64,8 +63,7 @@ let verify_kernel_image machine sva ~mitigation =
         ("Kernel.boot: kernel image failed load-time verification: "
         ^ Vg_compiler.Trans_cache.describe_find_error e)
 
-let boot ?frame_limit ?(engine = Vg_compiler.Exec_engine.Slots)
-    ?(spec_mitigation = Vg_compiler.Mitigation.Off) ~mode machine =
+let boot ~frame_limit ~engine ~spec_mitigation ~mode machine =
   let sva = Sva.boot ~mode machine in
   (* Bind the syscall table into the translation cache so any signed
      blob carrying a syscall-flow graph can be re-proven against its

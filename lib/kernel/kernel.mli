@@ -53,8 +53,8 @@ type t = {
   mutable syscall_count : int;
   engine : Vg_compiler.Exec_engine.t;
       (** which execution engine runs module override code — a host-time
-          choice; simulated cycles are engine-independent wherever the
-          engine can model them (see {!Vg_compiler.Exec_engine}) *)
+          choice; simulated cycles are engine-independent (see
+          {!Vg_compiler.Exec_engine}) *)
   spec_mitigation : Vg_compiler.Mitigation.t;
       (** the Spectre hardening selected at boot: the kernel image and
           every loaded module are compiled under it, and the
@@ -65,9 +65,6 @@ type t = {
 and syscall_override = {
   image : Vg_compiler.Linker.image;
   func : string;
-  program : Ir.program;
-      (** the instrumented IR the image was lowered from, for the
-          [Interp] debug engine *)
   compiled : Vg_compiler.Exec_compile.t option;
       (** the closure-compiled artifact, present iff the kernel booted
           with the [Compiled] engine; only ever obtained through
@@ -76,9 +73,9 @@ and syscall_override = {
 }
 
 val boot :
-  ?frame_limit:int ->
-  ?engine:Vg_compiler.Exec_engine.t ->
-  ?spec_mitigation:Vg_compiler.Mitigation.t ->
+  frame_limit:int option ->
+  engine:Vg_compiler.Exec_engine.t ->
+  spec_mitigation:Vg_compiler.Mitigation.t ->
   mode:Sva.mode ->
   Machine.t ->
   t
@@ -86,21 +83,16 @@ val boot :
     system (or remount an existing one), the network stack, and the
     init process (pid 1).  [frame_limit] caps the kernel's frame
     allocator — a memory-constrained machine that forces ghost
-    swapping.  [engine] (default [Slots]) selects the execution engine
-    for module override code; all engines charge identical simulated
-    cycles on the code they can run, so goldens are engine-independent
-    (the [Interp] debug engine cannot model CFI — see
-    {!Vg_compiler.Exec_engine}).  [spec_mitigation] (default [Off])
-    selects the Spectre hardening of the sandbox: the kernel image and
-    every module are compiled under it and the translation cache is
-    bound to it ({!Vg_compiler.Trans_cache.set_mitigation}).
+    swapping.  [engine] selects the execution engine for module
+    override code; both engines charge identical simulated cycles (see
+    {!Vg_compiler.Exec_engine}).  [spec_mitigation] selects the Spectre
+    hardening of the sandbox: the kernel image and every module are
+    compiled under it and the translation cache is bound to it
+    ({!Vg_compiler.Trans_cache.set_mitigation}).
 
-    Compatibility note: the optional-argument form is the low-level
-    path, kept for booting onto an existing machine (reboot tests,
-    attack harnesses that pre-stage machine state).  New code should
-    describe the node with [Vg_fleet.Node_config] and boot through
-    [Vg_fleet.Node.boot], which is cycle-identical and subsumes the
-    [Machine.create] + [boot] argument sprawl in one record. *)
+    Every argument is required: the defaults live in one place,
+    [Vg_fleet.Node_config.default], and [Vg_fleet.Node.boot] /
+    [Vg_fleet.Node.reboot] are the only callers. *)
 
 val mode : t -> Sva.mode
 val init_process : t -> Proc.t
@@ -125,10 +117,6 @@ val reap_zombie : t -> parent:int -> int option
 val create_process : t -> parent:Proc.t -> Proc.t Errno.result
 (** Allocate a pid, address space and SVA thread (used by [fork] and
     by the userland runtime for initial processes). *)
-
-val map_user_page : t -> Proc.t -> int64 -> unit Errno.result
-(** Demand-map one traditional user page (allocates and zeroes a
-    frame). *)
 
 val ensure_user_range : t -> Proc.t -> int64 -> len:int -> unit Errno.result
 (** Map every page overlapping [va, va+len). *)
@@ -155,4 +143,3 @@ val user_ro : Pagetable.perm
 
 val free_user_pages : t -> Proc.t -> unit
 (** Tear down all traditional user pages of a process. *)
-

@@ -1,24 +1,13 @@
 type t = {
-  sva : Sva.t;
   machine : Machine.t;
   mode : Sva.mode;
   mitigation : Vg_compiler.Mitigation.t;
-  mutable faults : int;
 }
 
 let create ?(mitigation = Vg_compiler.Mitigation.Off) sva =
-  {
-    sva;
-    machine = Sva.machine sva;
-    mode = Sva.mode sva;
-    mitigation;
-    faults = 0;
-  }
+  { machine = Sva.machine sva; mode = Sva.mode sva; mitigation }
 
-let sva t = t.sva
 let machine t = t.machine
-let mode t = t.mode
-let faulted_accesses t = t.faults
 
 (* The Spectre hardening the kernel was compiled under costs extra
    cycles per memory operand, exactly as the instrumented-IR path pays
@@ -48,7 +37,6 @@ let effective t addr =
    (e.g. a ghost address forced out of range) — a defence engaging, so
    it must not pass silently. *)
 let fault t what addr =
-  t.faults <- t.faults + 1;
   if t.mode = Sva.Virtual_ghost && Machine.tracing t.machine then
     Machine.emit t.machine
       (Obs.Event.Security
@@ -63,14 +51,6 @@ let as_kernel t f =
   let saved = Machine.privilege t.machine in
   Machine.set_privilege t.machine Machine.Kernel;
   Fun.protect ~finally:(fun () -> Machine.set_privilege t.machine saved) f
-
-let load t addr ~len =
-  let ea = effective t addr in
-  as_kernel t (fun () ->
-      try Machine.read_virt t.machine ea ~len
-      with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
-        fault t "load" addr;
-        0L)
 
 let store t addr ~len v =
   let ea = effective t addr in

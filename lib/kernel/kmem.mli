@@ -4,7 +4,7 @@
     through this module, which plays the role of the code the Virtual
     Ghost compiler would have emitted:
 
-    - in a [Native_build] kernel, {!load}/{!store} translate the given
+    - in a [Native_build] kernel, {!store}/{!read_bytes} translate the given
       virtual address directly — including ghost and SVA addresses,
       which is exactly the attack surface;
     - in a [Virtual_ghost] kernel, the address is first transformed by
@@ -33,12 +33,7 @@ type t
     access and {!work} unit, charged to the [Spec] cycle tag. *)
 val create : ?mitigation:Vg_compiler.Mitigation.t -> Sva.t -> t
 
-val sva : t -> Sva.t
 val machine : t -> Machine.t
-val mode : t -> Sva.mode
-
-val load : t -> int64 -> len:int -> int64
-(** Instrumented kernel load ([len] in 1/2/4/8). *)
 
 val store : t -> int64 -> len:int -> int64 -> unit
 (** Instrumented kernel store. *)
@@ -58,8 +53,3 @@ val work : t -> int
 val fn_entry : t -> unit
 (** Models entering one instrumented kernel function: charges the CFI
     label/check cost under Virtual Ghost, nothing otherwise. *)
-
-val faulted_accesses : t -> int
-(** How many kernel accesses faulted and were zero-filled (diagnostic:
-    nonzero means something — usually an attack — touched unmapped
-    masked addresses). *)

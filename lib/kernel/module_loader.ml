@@ -66,7 +66,7 @@ let load (k : Kernel.t) ~name program =
          closure-compiled artifact: [find_compiled] is the only way to
          obtain one, and it runs the image verifier first, so an
          unverifiable image is refused on exactly the same path (and
-         with the same error) as under the interpreting engines. *)
+         with the same error) as under the slot executor. *)
       let looked_up =
         match k.Kernel.engine with
         | Vg_compiler.Exec_engine.Compiled -> (
@@ -74,7 +74,7 @@ let load (k : Kernel.t) ~name program =
             | Error e -> Error e
             | Ok artifact ->
                 Ok (Vg_compiler.Exec_compile.image artifact, Some artifact))
-        | Vg_compiler.Exec_engine.Interp | Vg_compiler.Exec_engine.Slots -> (
+        | Vg_compiler.Exec_engine.Slots -> (
             match Vg_compiler.Trans_cache.find cache ~name with
             | Error e -> Error e
             | Ok image -> Ok (image, None))
@@ -82,12 +82,11 @@ let load (k : Kernel.t) ~name program =
       match looked_up with
       | Error e -> reject k ~name (Cache_refused e)
       | Ok (image, artifact) ->
-          let program = compiled.Vg_compiler.Pipeline.instrumented_ir in
           let overrides = overrides_of_image k image in
           List.iter
             (fun (sysno, func) ->
               Hashtbl.replace k.Kernel.overrides sysno
-                { Kernel.image; func; program; compiled = artifact })
+                { Kernel.image; func; compiled = artifact })
             overrides;
           Hashtbl.replace k.Kernel.modules name (List.map fst overrides);
           Machine.emit k.Kernel.machine

@@ -42,10 +42,6 @@ let addr_of_wire w =
   let hi = w lsr 16 and port = w land 0xffff in
   if hi = 0 then Local port else Peer { node = hi - 1; port }
 
-let addr_to_string = function
-  | Local port -> Printf.sprintf "local:%d" port
-  | Peer { node; port } -> Printf.sprintf "node%d:%d" node port
-
 (* Which link a connection lives on: the classic harness wire (the
    paper's dedicated GbE to the load generator) or the fleet fabric,
    in which case we remember the peer node for outbound frames. *)
@@ -74,7 +70,6 @@ let create ~kmem nic =
   { nic; kmem; listeners = Hashtbl.create 8; conns = Hashtbl.create 32; fabric = None }
 
 let attach_fabric t ~node fnic ~pump = t.fabric <- Some { node; fnic; pump }
-let node_id t = Option.map (fun f -> f.node) t.fabric
 
 let fabric_frame ~peer inner =
   let b = Bytes.create (4 + Bytes.length inner) in
@@ -323,5 +318,4 @@ module Remote = struct
   let close ep =
     Hashtbl.remove by_conn ep.conn;
     Nic.transmit ep.nic (frame ~ty:ty_fin ~conn:ep.conn ~port:ep.port Bytes.empty)
-  let conn_id ep = ep.conn
 end

@@ -35,8 +35,6 @@ val addr_to_wire : addr -> int64
 val addr_of_wire : int64 -> addr
 (** Inverse of {!addr_to_wire}. *)
 
-val addr_to_string : addr -> string
-
 val create : kmem:Kmem.t -> Nic.t -> t
 
 val attach_fabric : t -> node:int -> Nic.t -> pump:(unit -> unit) -> unit
@@ -44,9 +42,6 @@ val attach_fabric : t -> node:int -> Nic.t -> pump:(unit -> unit) -> unit
     id, the NIC is our side of a dedicated {!Nic.pair} into the switch,
     and [pump] runs the switch's forwarding loop (called from {!poll}
     before draining the fabric port). *)
-
-val node_id : t -> int option
-(** Our fleet node id, when a fabric is attached. *)
 
 val listen : t -> port:int -> unit Errno.result
 (** Open a listener; [EEXIST] if the port is taken. *)
@@ -113,5 +108,4 @@ module Remote : sig
 
   val recv_all_available : endpoint -> bytes
   val close : endpoint -> unit
-  val conn_id : endpoint -> int
 end

@@ -35,7 +35,6 @@ let drop_writer t =
   if t.writers = 0 then Waitq.wake t.read_wq
 
 let bytes_available t = t.size
-let room_available t = t.capacity - t.size
 
 (* Level-triggered readiness: EOF and EPIPE count as ready, since the
    matching operation returns immediately. *)

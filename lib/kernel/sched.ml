@@ -57,7 +57,6 @@ let create kernel =
 
 let preemptions t = t.preemptions
 let steals t = t.steals
-let dispatches t = t.dispatches
 let pending t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues
 
 let spawn t ?cpu ~name (proc : Proc.t) body =

@@ -36,8 +36,6 @@ val run : ?timer_period:int -> t -> unit
 val yield : t -> unit
 (** Voluntarily reschedule the calling fiber (no-op outside {!run}). *)
 
-val default_timer_period : int
-
 (** {1 Statistics} *)
 
 val preemptions : t -> int
@@ -45,8 +43,3 @@ val preemptions : t -> int
 
 val steals : t -> int
 (** Fibers migrated to an idle core by work stealing. *)
-
-val dispatches : t -> int
-
-val pending : t -> int
-(** Fibers currently queued. *)

@@ -26,10 +26,8 @@ exception Error of string
 let create machine ~name =
   { machine; name; owner = None; last_cpu = -1; acquisitions = 0; transfers = 0 }
 
-let name t = t.name
 let holder t = t.owner
 let held_by_current t = t.owner = Some (Machine.cpu t.machine)
-let acquisitions t = t.acquisitions
 let transfers t = t.transfers
 
 let acquire t =

@@ -26,16 +26,12 @@ val release : t -> unit
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [acquire]; run; [release] (also on exception). *)
 
-val name : t -> string
-
 val holder : t -> int option
 (** The core inside the critical section, if any. *)
 
 val held_by_current : t -> bool
 (** Does the current core hold the lock?  (Used by subsystems whose
     internal operations nest — same-core nesting is not contention.) *)
-
-val acquisitions : t -> int
 
 val transfers : t -> int
 (** How many acquisitions paid the cross-core cache-line transfer. *)

@@ -71,8 +71,6 @@ module Sysno = struct
   let of_int n = if n >= 0 && n < count then Some n else None
   let to_int n = n
   let equal = Int.equal
-  let compare = Int.compare
-  let hash (n : t) = Hashtbl.hash n
   let all = List.init count Fun.id
   let to_name n = specs.(n).name
 

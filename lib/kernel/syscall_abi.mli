@@ -36,8 +36,6 @@ module Sysno : sig
   (** Every syscall, in numbering order. *)
 
   val equal : t -> t -> bool
-  val compare : t -> t -> int
-  val hash : t -> int
 end
 
 (** {1 Descriptors} *)

@@ -117,8 +117,6 @@ let genuine_read_unwrapped k proc ~fd ~buf ~len =
           copyout k proc ~dst:buf data;
           Ok (Bytes.length data))
 
-let genuine_read k proc ~fd ~buf ~len = genuine_read_unwrapped k proc ~fd ~buf ~len
-
 let fd_write_kernel k _proc kind data : int Errno.result =
   match kind with
   | Proc.File f -> (
@@ -638,10 +636,6 @@ let send k proc ~fd ~buf ~len =
 
 let recv k proc ~fd ~buf ~len =
   via k proc ~sysno:Syscall_abi.sys_recv [| i64 fd; buf; i64 len |]
-
-let set_blocking k proc ~fd on =
-  via_unit k proc ~sysno:Syscall_abi.sys_set_blocking
-    [| i64 fd; (if on then 1L else 0L) |]
 
 let mmap k proc ~len =
   trap k proc ~name:"mmap"

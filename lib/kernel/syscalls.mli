@@ -131,12 +131,6 @@ val poll : Kernel.t -> Proc.t -> int list -> int list Errno.result
     non-consuming: a listener with a pending connection stays ready
     until accepted. *)
 
-val set_blocking : Kernel.t -> Proc.t -> fd:int -> bool -> unit Errno.result
-(** Opt a descriptor into (or out of) blocking reads/accepts: when
-    blocking, [read]/[recv]/[accept] sleep on the descriptor's
-    waitqueue instead of returning [EAGAIN].  Descriptors are born
-    non-blocking. *)
-
 (** {1 The submission ring} *)
 
 val ring_enter :
@@ -150,10 +144,6 @@ val ring_enter :
     by the instrumented accessors exactly as in a direct call. *)
 
 (** {1 Module machinery} *)
-
-val genuine_read : Kernel.t -> Proc.t -> fd:int -> buf:int64 -> len:int -> int Errno.result
-(** The built-in read handler, bypassing any module override — exposed
-    so modules can chain to it (registered as [extern.genuine_read]). *)
 
 val register_builtin_externs : Kernel.t -> unit
 (** Install the kernel helper API modules link against:

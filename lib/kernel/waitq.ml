@@ -14,14 +14,10 @@
 type t = { name : string; mutable seq : int; mutable wakeups : int }
 
 let create ~name = { name; seq = 0; wakeups = 0 }
-let name t = t.name
-let seq t = t.seq
 
 let wake t =
   t.seq <- t.seq + 1;
   t.wakeups <- t.wakeups + 1
-
-let wakeups t = t.wakeups
 
 (* Subscription: a snapshot of several queues, and the test for "did
    anything I subscribed to happen since". *)

@@ -11,17 +11,10 @@
 type t
 
 val create : name:string -> t
-val name : t -> string
 
 val wake : t -> unit
 (** Record a wakeup-worthy event (data arrived, space freed, child
     exited, endpoint closed). *)
-
-val seq : t -> int
-(** Current sequence number (monotonic; bumped by every {!wake}). *)
-
-val wakeups : t -> int
-(** Total {!wake} calls, for tests and stats. *)
 
 (** {1 Subscriptions} *)
 

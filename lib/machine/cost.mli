@@ -46,10 +46,6 @@ val page_fault_hw : int
 val zero_page : int
 (** Zeroing one 4 KiB frame. *)
 
-val copy_per_byte_num : int
-val copy_per_byte_den : int
-(** Bulk copy costs [num/den] cycles per byte (both builds). *)
-
 val disk_latency : int
 (** Per-operation SSD latency. *)
 

@@ -10,7 +10,6 @@ exception Dma_blocked of int
 let create () = { protected_ = (fun _ -> false); observer = (fun _ -> ()) }
 let set_protected t p = t.protected_ <- p
 let set_observer t f = t.observer <- f
-let frame_allowed t f = not (t.protected_ f)
 
 let check_range t ~addr ~len =
   let first = Int64.to_int (Int64.shift_right_logical addr 12) in

@@ -230,6 +230,8 @@ let check_access t access va (pte : Pagetable.pte) =
   in
   if denied then raise (Page_fault { va; access; present = true })
 
+(* The physical address of [va], charging TLB costs; raises [Page_fault]
+   on a missing mapping or a permission failure. *)
 let translate t access va =
   let pte =
     try lookup_pte t va
@@ -285,7 +287,6 @@ let spec_load t va ~len =
         | exception Phys_mem.Bad_physical_address _ -> None)
 
 let spec_window_opened t = t.spec_windows <- t.spec_windows + 1
-let cache_hot t va = t.spec_depth > 0 && Hashtbl.mem t.cache_lines (cache_line va)
 let spec_flush t = Hashtbl.reset t.cache_lines
 
 type spec_stats = {

@@ -145,10 +145,6 @@ val ack_timer : t -> unit
 
 (** {1 Virtual memory} *)
 
-val translate : t -> access -> int64 -> int64
-(** [translate t access va] is the physical address, charging TLB
-    costs. @raise Page_fault on missing mapping or permission. *)
-
 val read_virt : t -> int64 -> len:int -> int64
 val write_virt : t -> int64 -> len:int -> int64 -> unit
 (** Single-word accessors ([len] in 1/2/4/8); they charge
@@ -188,11 +184,6 @@ val spec_load : t -> int64 -> len:int -> int64 option
 val spec_window_opened : t -> unit
 (** Execution engines call this once per transient window they open
     (statistics only; charges nothing). *)
-
-val cache_hot : t -> int64 -> bool
-(** Is the line holding [va] present in the cache-line set?  (Test
-    introspection; the architectural probe is the {!Cost.cache_miss}
-    cycle difference.) *)
 
 val spec_flush : t -> unit
 (** Flush the cache-line set (clflush over the probe array).  Leaves

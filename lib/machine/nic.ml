@@ -26,5 +26,3 @@ let transmit t frame =
       Queue.add (Bytes.copy frame) peer.rx
 
 let receive t = if Queue.is_empty t.rx then None else Some (Queue.pop t.rx)
-let pending t = Queue.length t.rx
-let bytes_transmitted t = t.tx_bytes

@@ -9,9 +9,6 @@
 
 type t
 
-val mtu : int
-(** 1500. *)
-
 val pair : ?charge:(int -> unit) -> unit -> t * t
 (** [pair ~charge ()] makes two connected endpoints; both charge wire
     time to the same account (the simulated machine's clock). *)
@@ -21,9 +18,3 @@ val transmit : t -> bytes -> unit
 
 val receive : t -> bytes option
 (** Pop the oldest pending datagram, if any. *)
-
-val pending : t -> int
-(** Datagrams waiting in the receive queue. *)
-
-val bytes_transmitted : t -> int
-(** Total payload bytes this endpoint has sent (statistics). *)

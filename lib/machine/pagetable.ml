@@ -46,7 +46,5 @@ let vpages_of_frame t frame =
         (fun vpage pte acc -> if pte.frame = frame then vpage :: acc else acc)
         t.entries []
 
-let count t = Hashtbl.length t.entries
-
 let copy t =
   { entries = Hashtbl.copy t.entries; frame_refs = Hashtbl.copy t.frame_refs }

@@ -32,7 +32,5 @@ val vpages_of_frame : t -> int -> int64 list
     The MMU checks use this to verify a frame is unmapped before it may
     become ghost memory. *)
 
-val count : t -> int
-
 val copy : t -> t
 (** Clone (for [fork]). *)

@@ -8,9 +8,6 @@
 
 type t
 
-val frame_bytes : int
-(** 4096. *)
-
 val create : frames:int -> t
 (** [create ~frames] makes a memory of [frames] * 4 KiB bytes. *)
 

@@ -19,7 +19,6 @@ let create mem ~alloc_frame =
       Phys_mem.zero_frame mem root;
       { mem; alloc_frame; root; nodes = [ root ] }
 
-let root_frame t = t.root
 let node_frames t = t.nodes
 
 (* Index of the page-table entry for [vpage] at [level] (3 = PML4

@@ -23,9 +23,6 @@ val create : Phys_mem.t -> alloc_frame:(unit -> int option) -> t
     allocated on demand from [alloc_frame] (typically the kernel's
     frame allocator). *)
 
-val root_frame : t -> int
-(** The PML4 frame (what CR3 would hold). *)
-
 exception Out_of_frames
 
 val map : t -> vpage:int64 -> Pagetable.pte -> unit

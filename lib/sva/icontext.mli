@@ -20,16 +20,10 @@ type t = {
   gprs : int64 array;  (** 16 general-purpose registers *)
 }
 
-val gpr_count : int
-
 val create : pc:int64 -> sp:int64 -> privilege:Machine.privilege -> t
 (** Fresh context with zeroed registers. *)
 
 val clone : t -> t
-
-val zero_gprs : t -> unit
-(** Register-zeroing on kernel entry: confidential register contents
-    never reach the OS. *)
 
 val byte_size : int
 (** Size of the serialised image (pc, sp, privilege, 16 GPRs). *)

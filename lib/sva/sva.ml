@@ -73,8 +73,6 @@ let machine t = t.machine
 let translation_cache t = t.trans_cache
 let frame_use t frame = Option.value ~default:Kernel_managed (Hashtbl.find_opt t.uses frame)
 let set_code_frame t frame = Hashtbl.replace t.uses frame Code_frame
-let stats_traps t = t.traps
-let stats_mmu_checks t = t.mmu_checks
 let iommu_config_port = 0xfee0L
 
 (* Number of frames reserved for SVA-internal memory (1 MiB): interrupt
@@ -527,8 +525,6 @@ let swap_idle t =
   pc.running <- None
 
 let running_on t ~cpu = t.percpu.(cpu).running
-let cpu_switches t ~cpu = t.percpu.(cpu).switches
-let cpu_ist t ~cpu = t.percpu.(cpu).ist_va
 
 (* ------------------------------------------------------------------ *)
 (* Program launch (execve)                                             *)
@@ -925,8 +921,6 @@ let swap_in_ghost t ~pid ~pt ~va ~frame ~blob =
                   Ok ()
                 end
           end)
-
-let swapped_out_version t ~pid ~va = Hashtbl.find_opt t.swap_versions (pid, va)
 
 (* ------------------------------------------------------------------ *)
 (* Randomness and programmed I/O                                       *)

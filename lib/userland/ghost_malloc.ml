@@ -132,11 +132,6 @@ let malloc t n =
       t.live_bytes <- t.live_bytes + need;
       payload_of hdr
 
-let calloc t n =
-  let p = malloc t n in
-  Runtime.poke t.ctx p (Bytes.make (align16 (max 16 n)) '\000');
-  p
-
 let validate_live t payload =
   let hdr = header_of payload in
   if
@@ -163,8 +158,6 @@ let realloc t payload n =
   fresh
 
 let live_blocks t = t.live
-let live_bytes t = t.live_bytes
-let arena_bytes t = Int64.to_int (Int64.sub t.limit t.base)
 
 let check_integrity t =
   if t.limit = 0L then Ok ()

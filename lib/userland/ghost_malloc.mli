@@ -22,9 +22,6 @@ val malloc : t -> int -> int64
 (** Allocate at least [n] bytes; the result is 16-byte aligned.
     @raise Runtime.App_crash when the arena cannot grow. *)
 
-val calloc : t -> int -> int64
-(** Like {!malloc} but zero-filled. *)
-
 val free : t -> int64 -> unit
 (** Release a block.  @raise Invalid_argument on a pointer that is not
     a live allocation (double free, wild pointer). *)
@@ -33,8 +30,6 @@ val realloc : t -> int64 -> int -> int64
 (** Resize, preserving min(old,new) bytes of content. *)
 
 val live_blocks : t -> int
-val live_bytes : t -> int
-val arena_bytes : t -> int
 
 val check_integrity : t -> (unit, string) result
 (** Walk every header; [Error] describes the first corrupt block. *)

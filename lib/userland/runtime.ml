@@ -278,12 +278,6 @@ let write_string ctx ~fd s =
   poke ctx va (Bytes.of_string s);
   sys_write ctx ~fd ~src:va ~len:(String.length s)
 
-let read_string ctx ~fd ~max =
-  let va = galloc ctx max in
-  match sys_read ctx ~fd ~dst:va ~len:max with
-  | Ok n -> Ok (Bytes.to_string (peek ctx va n))
-  | Error err -> Error err
-
 let sys_mmap ctx ~len =
   match Syscalls.mmap ctx.kernel ctx.proc ~len with
   | Ok va ->

@@ -87,9 +87,6 @@ val user_memcpy : ctx -> dst:int64 -> src:int64 -> len:int -> unit
 val bounce_bytes : int
 (** Size of the wrapper library's traditional bounce buffer. *)
 
-val ghost_heap_base : int64
-(** Where the ghosting heap starts inside the ghost partition. *)
-
 val ualloc : ctx -> int -> int64
 (** Bump-allocate traditional user memory. *)
 
@@ -97,9 +94,6 @@ val galloc : ctx -> int -> int64
 (** Heap allocation: ghost memory when [ghosting], else traditional
     (the paper's modified-malloc versus stock-malloc configurations).
     Grows the ghost region via [allocgm] as needed. *)
-
-val register_code : ctx -> (ctx -> int64 -> unit) -> int64
-(** Install a closure as program text; returns its code address. *)
 
 (** {1 Syscall wrappers} *)
 
@@ -123,8 +117,6 @@ val sys_send : ctx -> fd:int -> buf:int64 -> len:int -> int Errno.result
 
 val write_string : ctx -> fd:int -> string -> int Errno.result
 (** Convenience: stage a string in the heap and write it. *)
-
-val read_string : ctx -> fd:int -> max:int -> string Errno.result
 
 val sys_mmap : ctx -> len:int -> int64 Errno.result
 (** Applies the Iago mask to the kernel's return value when

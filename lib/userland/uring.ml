@@ -36,13 +36,9 @@ let create ctx ~depth =
   Runtime.poke ctx base (Bytes.make Syscall_ring.header_bytes '\000');
   t
 
-let depth t = t.depth
-let base t = t.base
 let enters t = t.enters
 let submitted t = t.submitted
-let completed t = t.completed
 let sq_head t = read_counter t Syscall_ring.sq_head_off
-let in_flight t = t.sq_tail - sq_head t
 
 let submit t ~sysno ~args ~user_data =
   if t.sq_tail - sq_head t >= t.depth then false

@@ -13,9 +13,6 @@ val create : Runtime.ctx -> depth:int -> t
 (** Allocate and zero a ring of [depth] slots.
     @raise Invalid_argument for depth outside 1..4096. *)
 
-val depth : t -> int
-val base : t -> int64
-
 val submit :
   t -> sysno:Syscall_abi.Sysno.t -> args:int64 array -> user_data:int64 -> bool
 (** Queue one submission (up to four register arguments); [false] when
@@ -35,9 +32,5 @@ val reap : t -> Syscall_ring.cqe list
 
 (** {1 Stats} *)
 
-val in_flight : t -> int
-(** Entries submitted but not yet consumed by the kernel. *)
-
 val enters : t -> int
 val submitted : t -> int
-val completed : t -> int

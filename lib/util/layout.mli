@@ -13,14 +13,9 @@
     and zeroes addresses that fall within it; we give it a fixed
     sub-range of kernel space and instrument the same way. *)
 
-val user_start : int64
-val user_end : int64
-
 val ghost_start : int64 (** 0xffffff0000000000 *)
 
 val ghost_end : int64 (** 0xffffff8000000000 *)
-
-val kernel_start : int64 (** 0xffffff8000000000 *)
 
 val ghost_escape_bit : int64
 (** Bit 39 (0x8000000000): ORing it into any address >= [ghost_start]
@@ -33,12 +28,8 @@ val sva_end : int64
     range are redirected to address 0. *)
 
 val kernel_code_start : int64
-val kernel_code_end : int64
-(** Range holding native code translations; the MMU checks refuse to
-    remap or write-enable frames mapped here. *)
 
 val kernel_data_start : int64
-val kernel_stack_top : int64
 
 val in_user : int64 -> bool
 val in_ghost : int64 -> bool
@@ -50,6 +41,3 @@ val mask_kernel_target : int64 -> int64
 (** CFI target masking: force an address into kernel space (paper: the
     check "masks the target address to ensure that it is not a
     user-space address"). *)
-
-val page_size : int
-val page_shift : int

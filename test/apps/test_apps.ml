@@ -312,8 +312,13 @@ let test_sealed_requires_identity () =
       | Ok () -> Alcotest.fail "unsigned process must have no sealed identity")
 
 let test_sealed_survives_reboot () =
-  let machine = Machine.create ~phys_frames:16384 ~disk_sectors:32768 ~seed:"sealed-reboot" () in
-  let k1 = Kernel.boot ~mode:Sva.Virtual_ghost machine in
+  let node =
+    Node.boot
+      Node_config.(
+        default |> with_phys_frames 16384 |> with_disk_sectors 32768
+        |> with_seed "sealed-reboot")
+  in
+  let k1 = Node.kernel node in
   let _, _, image1 = Ssh_suite.install_images k1 ~app_key in
   Runtime.launch k1 ~image:image1 ~ghosting:true (fun ctx ->
       match Sealed_store.save ctx ~path:"/state" (Bytes.of_string "before reboot") with
@@ -321,7 +326,7 @@ let test_sealed_survives_reboot () =
       | Error _ -> Alcotest.fail "save");
   ignore (Syscalls.fsync k1 (Kernel.init_process k1));
   (* Reboot: same machine (TPM, disk), fresh kernel. *)
-  let k2 = Kernel.boot ~mode:Sva.Virtual_ghost machine in
+  let k2 = Node.kernel (Node.reboot node) in
   let _, _, image2 = Ssh_suite.install_images k2 ~app_key in
   Runtime.launch k2 ~image:image2 ~ghosting:true (fun ctx ->
       match Sealed_store.load ctx ~path:"/state" with

@@ -1,5 +1,5 @@
-(* The fleet subsystem: Node_config/Node.boot redesign (cycle-identical
-   to the raw two-call boot), the unified connect address type, the
+(* The fleet subsystem: the Node_config/Node.boot API, the unified
+   connect address type, the
    NIC-to-NIC fabric, the load balancer, serving waves, rolling
    restarts, the hostile-backend quarantine and cross-node key
    distribution. *)
@@ -24,11 +24,13 @@ let test_config_builders () =
   Alcotest.(check int) "default depth" 0 c.Node_config.spec_depth;
   Alcotest.(check bool) "default obs" true (c.Node_config.obs = None);
   Alcotest.(check bool) "default limit" true (c.Node_config.frame_limit = None);
+  Alcotest.(check bool) "default engine" true
+    (c.Node_config.engine = Vg_compiler.Exec_engine.Compiled);
   let c =
     Node_config.(
       default |> with_cpus 4 |> with_mode Sva.Native_build
       |> with_frame_limit 512 |> with_seed "x"
-      |> with_engine Vg_compiler.Exec_engine.Interp
+      |> with_engine Vg_compiler.Exec_engine.Slots
       |> with_spec_depth 8)
   in
   Alcotest.(check int) "cpus" 4 c.Node_config.cpus;
@@ -36,55 +38,13 @@ let test_config_builders () =
   Alcotest.(check bool) "limit" true (c.Node_config.frame_limit = Some 512);
   Alcotest.(check string) "seed" "x" c.Node_config.seed;
   Alcotest.(check int) "depth" 8 c.Node_config.spec_depth;
+  Alcotest.(check bool) "engine" true
+    (c.Node_config.engine = Vg_compiler.Exec_engine.Slots);
   Alcotest.(check bool) "describe mentions engine" true
     (String.length (Node_config.describe c) > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Cycle identity: Node.boot vs the raw two-call boot                  *)
-
-(* A deterministic workload touching files, sockets and ghost memory,
-   so any divergence in boot parameters shows up in the clock. *)
-let workload k =
-  let m = k.Kernel.machine in
-  (match Netstack.listen k.Kernel.net ~port:80 with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "listen: %s" (Errno.to_string e));
-  Runtime.launch k ~ghosting:true (fun ctx ->
-      let fd = expect_ok "open" (Runtime.sys_open ctx "/w" Syscalls.creat_trunc) in
-      let src = Runtime.galloc ctx 256 in
-      Runtime.poke ctx src (Bytes.make 256 'w');
-      ignore (expect_ok "write" (Runtime.sys_write ctx ~fd ~src ~len:256));
-      ignore (Runtime.sys_close ctx fd);
-      let conn =
-        expect_ok "connect"
-          (Syscalls.connect_to k ctx.Runtime.proc (Netstack.Local 9999))
-      in
-      let buf = Runtime.galloc ctx 64 in
-      Runtime.poke ctx buf (Bytes.of_string "ping");
-      ignore (expect_ok "send" (Runtime.sys_send ctx ~fd:conn ~buf ~len:4)));
-  Machine.cycles m
-
-let test_cycle_identity () =
-  List.iter
-    (fun mode ->
-      let raw =
-        let machine =
-          Machine.create ~phys_frames:8192 ~disk_sectors:8192
-            ~seed:"fleet-golden" ()
-        in
-        workload (Kernel.boot ~mode machine)
-      in
-      let via_node =
-        workload
-          (Node.kernel
-             (Node.boot
-                (small_config ~seed:"fleet-golden" |> Node_config.with_mode mode)))
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "cycles identical (%s)"
-           (match mode with Sva.Native_build -> "native" | _ -> "vg"))
-        raw via_node)
-    [ Sva.Native_build; Sva.Virtual_ghost ]
+(* Connect parity                                                      *)
 
 (* The historical port-only connect and the unified Local address take
    the same path, bit for bit. *)
@@ -490,7 +450,6 @@ let () =
       ( "node",
         [
           Alcotest.test_case "config-builders" `Quick test_config_builders;
-          Alcotest.test_case "cycle-identity" `Quick test_cycle_identity;
           Alcotest.test_case "connect-local-parity" `Quick
             test_connect_local_parity;
           Alcotest.test_case "addr-codec" `Quick test_addr_codec;

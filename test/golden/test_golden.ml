@@ -123,9 +123,10 @@ let test_compiled_engine_cycles () =
 
 (* --- whole-kernel golden: LMBench null syscall -------------------- *)
 
-(* The bench-profile node, built through the fleet config — the golden
-   numbers below pin that this path stays cycle-identical to the raw
-   Machine.create + Kernel.boot it replaced. *)
+(* The bench-profile node, booted through the one boot path.  Each
+   whole-kernel golden below is checked twice: on the default
+   (production, [Compiled]) engine and on the [Slots] oracle, so both
+   engines keep their pinned numbers. *)
 let golden_config ?engine ?(spec_depth = 0) mode =
   let config =
     Node_config.(
@@ -150,12 +151,12 @@ let test_null_syscall_cycles () =
     (null_syscall_cycles Sva.Native_build);
   Alcotest.(check int) "virtual ghost" 261000
     (null_syscall_cycles Sva.Virtual_ghost);
-  (* Same whole-kernel goldens under the compiled execution engine. *)
-  let compiled = Vg_compiler.Exec_engine.Compiled in
-  Alcotest.(check int) "native build (compiled engine)" 71600
-    (null_syscall_cycles ~engine:compiled Sva.Native_build);
-  Alcotest.(check int) "virtual ghost (compiled engine)" 261000
-    (null_syscall_cycles ~engine:compiled Sva.Virtual_ghost)
+  (* Same whole-kernel goldens on the slot-executor oracle. *)
+  let slots = Vg_compiler.Exec_engine.Slots in
+  Alcotest.(check int) "native build (slots engine)" 71600
+    (null_syscall_cycles ~engine:slots Sva.Native_build);
+  Alcotest.(check int) "virtual ghost (slots engine)" 261000
+    (null_syscall_cycles ~engine:slots Sva.Virtual_ghost)
 
 (* --- speculation model off: cycle identity ------------------------ *)
 (* The speculation era must be pay-for-what-you-use: a machine built
@@ -186,9 +187,12 @@ let test_spec_depth0_cycle_identity () =
     (null_syscall_cycles_spec ~spec_depth:0 ~mitigation:off Sva.Native_build);
   Alcotest.(check int) "virtual ghost, spec plumbing off" 261000
     (null_syscall_cycles_spec ~spec_depth:0 ~mitigation:off Sva.Virtual_ghost);
-  Alcotest.(check int) "virtual ghost, spec plumbing off (compiled engine)"
+  Alcotest.(check int) "native, spec plumbing off (slots engine)" 71600
+    (null_syscall_cycles_spec ~engine:Vg_compiler.Exec_engine.Slots
+       ~spec_depth:0 ~mitigation:off Sva.Native_build);
+  Alcotest.(check int) "virtual ghost, spec plumbing off (slots engine)"
     261000
-    (null_syscall_cycles_spec ~engine:Vg_compiler.Exec_engine.Compiled
+    (null_syscall_cycles_spec ~engine:Vg_compiler.Exec_engine.Slots
        ~spec_depth:0 ~mitigation:off Sva.Virtual_ghost)
 
 let test_spec_mitigation_goldens () =
@@ -222,10 +226,13 @@ let test_boot_verify_cycles () =
     (boot_verify_cycles Sva.Native_build);
   Alcotest.(check int) "virtual ghost kernel image" 288
     (boot_verify_cycles Sva.Virtual_ghost);
-  (* The compiled engine's extra work is host-time only: the simulated
-     Verify bill is unchanged. *)
-  Alcotest.(check int) "virtual ghost (compiled engine)" 288
-    (boot_verify_cycles ~engine:Vg_compiler.Exec_engine.Compiled
+  (* The compiled engine's extra load-time work is host-time only: the
+     slot-executor oracle pays the same simulated Verify bill. *)
+  Alcotest.(check int) "native build verifies nothing (slots engine)" 0
+    (boot_verify_cycles ~engine:Vg_compiler.Exec_engine.Slots
+       Sva.Native_build);
+  Alcotest.(check int) "virtual ghost kernel image (slots engine)" 288
+    (boot_verify_cycles ~engine:Vg_compiler.Exec_engine.Slots
        Sva.Virtual_ghost)
 
 (* --- observability parity ----------------------------------------- *)

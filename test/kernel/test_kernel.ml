@@ -57,8 +57,13 @@ let test_boot () =
   Alcotest.(check int) "current" 1 (Kernel.current_proc k).Proc.pid
 
 let test_fs_persists_across_reboot () =
-  let machine = Machine.create ~phys_frames:8192 ~disk_sectors:16384 ~seed:"persist" () in
-  let k1 = Kernel.boot ~mode:Sva.Virtual_ghost machine in
+  let node =
+    Node.boot
+      Node_config.(
+        default |> with_phys_frames 8192 |> with_disk_sectors 16384
+        |> with_seed "persist")
+  in
+  let k1 = Node.kernel node in
   let p = init k1 in
   let fd = expect_ok "open" (Syscalls.open_ k1 p "/boot.txt" Syscalls.creat_trunc) in
   user_write k1 p user_buf (Bytes.of_string "survives");
@@ -66,7 +71,7 @@ let test_fs_persists_across_reboot () =
   ignore (expect_ok "close" (Syscalls.close k1 p fd));
   ignore (expect_ok "fsync" (Syscalls.fsync k1 p));
   (* Second boot on the same machine must mount, not reformat. *)
-  let k2 = Kernel.boot ~mode:Sva.Virtual_ghost machine in
+  let k2 = Node.kernel (Node.reboot node) in
   let p2 = init k2 in
   let fd2 = expect_ok "reopen" (Syscalls.open_ k2 p2 "/boot.txt" Syscalls.rdonly) in
   ignore (expect_ok "read" (Syscalls.read k2 p2 ~fd:fd2 ~buf:user_buf ~len:8));
