@@ -755,6 +755,10 @@ let bechamel () =
   section "Bechamel: host-time microbenchmarks of the simulator itself";
   let key = Vg_crypto.Aes128.expand (Bytes.make 16 'k') in
   let block = Bytes.make 16 'p' in
+  (* one sealed ghost-swap payload: a 24-byte header plus a 4 KB page *)
+  let swap_payload = Bytes.make 4120 's' in
+  let raw_key = Bytes.make 16 'k' and nonce = Bytes.make 8 'n' in
+  let sealed = Vg_crypto.Ctr.seal ~key:raw_key ~nonce swap_payload in
   (* images are linked once, outside the staged thunks: linking is a
      translation-time cost, amortised across every execution *)
   let collatz =
@@ -773,6 +777,14 @@ let bechamel () =
                ignore (Vg_compiler.Sandbox_pass.masked_address 0xffffff0012345678L)));
         Test.make ~name:"aes128-block"
           (Staged.stage (fun () -> ignore (Vg_crypto.Aes128.encrypt_block key block)));
+        Test.make ~name:"ctr-4k"
+          (Staged.stage (fun () ->
+               ignore (Vg_crypto.Ctr.transform ~key ~nonce swap_payload)));
+        Test.make ~name:"seal-4k"
+          (Staged.stage (fun () ->
+               ignore (Vg_crypto.Ctr.seal ~key:raw_key ~nonce swap_payload)));
+        Test.make ~name:"open-4k"
+          (Staged.stage (fun () -> ignore (Vg_crypto.Ctr.open_ ~key:raw_key ~nonce sealed)));
         Test.make ~name:"sha256-block"
           (Staged.stage (fun () -> ignore (Vg_crypto.Sha256.digest block)));
         Test.make ~name:"executor-collatz"

@@ -184,7 +184,6 @@ let sshd_serve_file ctx ~listen_fd ~path ~session_key =
       | Ok file_fd ->
           let chunk_len = 32768 in
           let buf = Runtime.galloc ctx chunk_len in
-          ignore (Vg_crypto.Aes128.expand session_key);
           let total = ref 0 in
           let eof = ref false in
           let failed = ref None in
@@ -194,9 +193,10 @@ let sshd_serve_file ctx ~listen_fd ~path ~session_key =
             | Ok n ->
                 let plain = Runtime.peek ctx buf n in
                 charge_crypto ctx (n * Cost.aes_per_byte);
-                (* Stream cipher position follows the running total so
-                   the whole file is one CTR stream.  For simplicity
-                   chunks are block-aligned except the last. *)
+                (* The ChaCha20 block counter follows the running total
+                   (64-byte blocks), so the whole file is one keystream
+                   as long as each full read (32 KB) is whole blocks;
+                   only the last chunk may end mid-block. *)
                 let cipher =
                   Vg_crypto.Chacha20.transform
                     ~key:(Vg_crypto.Sha256.digest session_key)

@@ -34,129 +34,160 @@ let sbox, inv_sbox =
   done;
   (s, si)
 
-type key = { rounds : bytes array (* 11 round keys of 16 bytes *) }
+(* The state is four 32-bit column words held in native ints.  Byte
+   [r] of column [c] (row r, FIPS 197 order) is bits [24 - 8r .. 31 - 8r]
+   of word [c], so a 16-byte block loads as four big-endian words. *)
+
+let word a b c d = (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
+let rotr8 w = ((w lsr 8) lor (w lsl 24)) land 0xffffffff
+
+(* T-tables fuse SubBytes, ShiftRows and MixColumns: [t0.(x)] is the
+   column contributed by S-box output [box.(x)] sitting in row 0, i.e.
+   [box.(x)] times the first matrix column [m0..m3]; rows 1-3 are the
+   same column rotated one byte per row. *)
+let t_tables box (m0, m1, m2, m3) =
+  let t0 =
+    Array.init 256 (fun x ->
+        let s = box.(x) in
+        word (gf_mul m0 s) (gf_mul m1 s) (gf_mul m2 s) (gf_mul m3 s))
+  in
+  let t1 = Array.map rotr8 t0 in
+  let t2 = Array.map rotr8 t1 in
+  let t3 = Array.map rotr8 t2 in
+  (t0, t1, t2, t3)
+
+let te0, te1, te2, te3 = t_tables sbox (2, 1, 1, 3)
+let td0, td1, td2, td3 = t_tables inv_sbox (14, 9, 13, 11)
+
+(* Every table index below is one byte of a 32-bit word (state, key
+   and table words never exceed 32 bits), so it is in 0..255 and the
+   hot loops skip the bounds check. *)
+let ( .%() ) = Array.unsafe_get
+
+let sub_word w =
+  word
+    sbox.%(w lsr 24)
+    sbox.%((w lsr 16) land 0xff)
+    sbox.%((w lsr 8) land 0xff)
+    sbox.%(w land 0xff)
+
+let load b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+let store b off w = Bytes.set_int32_be b off (Int32.of_int w)
+
+type key = int array (* 44 words: 11 round keys of 4 columns *)
 
 let expand k =
   if Bytes.length k <> key_size then invalid_arg "Aes128.expand: need 16 bytes";
-  (* Word-oriented key schedule: 44 four-byte words. *)
-  let words = Array.make 44 (Bytes.create 4) in
+  let w = Array.make 44 0 in
   for i = 0 to 3 do
-    words.(i) <- Bytes.sub k (4 * i) 4
+    w.(i) <- load k (4 * i)
   done;
   let rcon = ref 1 in
   for i = 4 to 43 do
-    let prev = words.(i - 1) in
+    let prev = w.(i - 1) in
     let temp =
       if i mod 4 = 0 then begin
         (* RotWord + SubWord + Rcon *)
-        let t = Bytes.create 4 in
-        for j = 0 to 3 do
-          Bytes.set t j
-            (Char.chr sbox.(Char.code (Bytes.get prev ((j + 1) mod 4))))
-        done;
-        Bytes.set t 0 (Char.chr (Char.code (Bytes.get t 0) lxor !rcon));
+        let t = sub_word (((prev lsl 8) lor (prev lsr 24)) land 0xffffffff) in
+        let t = t lxor (!rcon lsl 24) in
         rcon := gf_mul !rcon 2;
         t
       end
-      else Bytes.copy prev
+      else prev
     in
-    Bytes_util.xor_into ~src:words.(i - 4) ~dst:temp;
-    words.(i) <- temp
+    w.(i) <- w.(i - 4) lxor temp
   done;
-  let rounds =
-    Array.init 11 (fun r ->
-        let rk = Bytes.create 16 in
-        for j = 0 to 3 do
-          Bytes.blit words.((4 * r) + j) 0 rk (4 * j) 4
-        done;
-        rk)
+  w
+
+let encrypt_into key src soff dst doff =
+  if soff < 0 || soff > Bytes.length src - block_size || doff < 0
+     || doff > Bytes.length dst - block_size
+  then invalid_arg "Aes128.encrypt_into: block out of bounds";
+  let s0 = ref (load src soff lxor key.(0)) in
+  let s1 = ref (load src (soff + 4) lxor key.(1)) in
+  let s2 = ref (load src (soff + 8) lxor key.(2)) in
+  let s3 = ref (load src (soff + 12) lxor key.(3)) in
+  (* Column c of a round reads row r from column c + r (ShiftRows). *)
+  let[@inline] col a b c d k =
+    te0.%(a lsr 24)
+    lxor te1.%((b lsr 16) land 0xff)
+    lxor te2.%((c lsr 8) land 0xff)
+    lxor te3.%(d land 0xff)
+    lxor k
   in
-  { rounds }
-
-let add_round_key state rk = Bytes_util.xor_into ~src:rk ~dst:state
-
-let sub_bytes state table =
-  for i = 0 to 15 do
-    Bytes.set state i (Char.chr table.(Char.code (Bytes.get state i)))
-  done
-
-(* State layout: byte [r + 4*c] is row r, column c (column-major, as in
-   FIPS 197).  A 16-byte input maps column-by-column. *)
-
-let shift_rows state =
-  let tmp = Bytes.copy state in
-  for r = 1 to 3 do
-    for c = 0 to 3 do
-      Bytes.set state (r + (4 * c)) (Bytes.get tmp (r + (4 * ((c + r) mod 4))))
-    done
-  done
-
-let inv_shift_rows state =
-  let tmp = Bytes.copy state in
-  for r = 1 to 3 do
-    for c = 0 to 3 do
-      Bytes.set state (r + (4 * ((c + r) mod 4))) (Bytes.get tmp (r + (4 * c)))
-    done
-  done
-
-let mix_single state c m0 m1 m2 m3 =
-  let b i = Char.code (Bytes.get state (i + (4 * c))) in
-  let s0 = b 0 and s1 = b 1 and s2 = b 2 and s3 = b 3 in
-  let mix m a b c d =
-    gf_mul m.(0) a lxor gf_mul m.(1) b lxor gf_mul m.(2) c lxor gf_mul m.(3) d
+  for round = 1 to 9 do
+    let k = 4 * round in
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+    s0 := col a b c d key.(k);
+    s1 := col b c d a key.(k + 1);
+    s2 := col c d a b key.(k + 2);
+    s3 := col d a b c key.(k + 3)
+  done;
+  let[@inline] last a b c d k =
+    word
+      sbox.%(a lsr 24)
+      sbox.%((b lsr 16) land 0xff)
+      sbox.%((c lsr 8) land 0xff)
+      sbox.%(d land 0xff)
+    lxor k
   in
-  Bytes.set state (0 + (4 * c)) (Char.chr (mix m0 s0 s1 s2 s3));
-  Bytes.set state (1 + (4 * c)) (Char.chr (mix m1 s0 s1 s2 s3));
-  Bytes.set state (2 + (4 * c)) (Char.chr (mix m2 s0 s1 s2 s3));
-  Bytes.set state (3 + (4 * c)) (Char.chr (mix m3 s0 s1 s2 s3))
-
-let mc0 = [| 2; 3; 1; 1 |]
-let mc1 = [| 1; 2; 3; 1 |]
-let mc2 = [| 1; 1; 2; 3 |]
-let mc3 = [| 3; 1; 1; 2 |]
-let imc0 = [| 14; 11; 13; 9 |]
-let imc1 = [| 9; 14; 11; 13 |]
-let imc2 = [| 13; 9; 14; 11 |]
-let imc3 = [| 11; 13; 9; 14 |]
-
-let mix_columns state =
-  for c = 0 to 3 do
-    mix_single state c mc0 mc1 mc2 mc3
-  done
-
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    mix_single state c imc0 imc1 imc2 imc3
-  done
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+  store dst doff (last a b c d key.(40));
+  store dst (doff + 4) (last b c d a key.(41));
+  store dst (doff + 8) (last c d a b key.(42));
+  store dst (doff + 12) (last d a b c key.(43))
 
 let encrypt_block key plain =
   if Bytes.length plain <> block_size then
     invalid_arg "Aes128.encrypt_block: need 16 bytes";
-  let state = Bytes.copy plain in
-  add_round_key state key.rounds.(0);
-  for round = 1 to 9 do
-    sub_bytes state sbox;
-    shift_rows state;
-    mix_columns state;
-    add_round_key state key.rounds.(round)
-  done;
-  sub_bytes state sbox;
-  shift_rows state;
-  add_round_key state key.rounds.(10);
-  state
+  let out = Bytes.create block_size in
+  encrypt_into key plain 0 out 0;
+  out
+
+(* The equivalent inverse cipher (FIPS 197 section 5.3.5): the middle
+   round keys pass through InvMixColumns, which is a [td] lookup of
+   each byte after undoing the inverse S-box the [td] tables fold in. *)
+let inv_mix w =
+  td0.%(sbox.%(w lsr 24))
+  lxor td1.%(sbox.%((w lsr 16) land 0xff))
+  lxor td2.%(sbox.%((w lsr 8) land 0xff))
+  lxor td3.%(sbox.%(w land 0xff))
 
 let decrypt_block key cipher =
   if Bytes.length cipher <> block_size then
     invalid_arg "Aes128.decrypt_block: need 16 bytes";
-  let state = Bytes.copy cipher in
-  add_round_key state key.rounds.(10);
+  let s0 = ref (load cipher 0 lxor key.(40)) in
+  let s1 = ref (load cipher 4 lxor key.(41)) in
+  let s2 = ref (load cipher 8 lxor key.(42)) in
+  let s3 = ref (load cipher 12 lxor key.(43)) in
+  (* Column c reads row r from column c - r (InvShiftRows). *)
+  let[@inline] col a b c d k =
+    td0.%(a lsr 24)
+    lxor td1.%((b lsr 16) land 0xff)
+    lxor td2.%((c lsr 8) land 0xff)
+    lxor td3.%(d land 0xff)
+    lxor inv_mix k
+  in
   for round = 9 downto 1 do
-    inv_shift_rows state;
-    sub_bytes state inv_sbox;
-    add_round_key state key.rounds.(round);
-    inv_mix_columns state
+    let k = 4 * round in
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+    s0 := col a d c b key.(k);
+    s1 := col b a d c key.(k + 1);
+    s2 := col c b a d key.(k + 2);
+    s3 := col d c b a key.(k + 3)
   done;
-  inv_shift_rows state;
-  sub_bytes state inv_sbox;
-  add_round_key state key.rounds.(0);
-  state
+  let[@inline] last a b c d k =
+    word
+      inv_sbox.%(a lsr 24)
+      inv_sbox.%((b lsr 16) land 0xff)
+      inv_sbox.%((c lsr 8) land 0xff)
+      inv_sbox.%(d land 0xff)
+    lxor k
+  in
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+  let out = Bytes.create block_size in
+  store out 0 (last a d c b key.(0));
+  store out 4 (last b a d c key.(1));
+  store out 8 (last c b a d key.(2));
+  store out 12 (last d c b a key.(3));
+  out

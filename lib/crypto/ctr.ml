@@ -3,22 +3,32 @@ let tag_size = 32
 let transform ~key ~nonce data =
   if Bytes.length nonce <> 8 then invalid_arg "Ctr.transform: nonce must be 8 bytes";
   let n = Bytes.length data in
-  let out = Bytes.copy data in
+  let out = Bytes.create n in
   let counter_block = Bytes.make 16 '\000' in
+  let keystream = Bytes.create 16 in
   Bytes.blit nonce 0 counter_block 0 8;
-  let nblocks = (n + 15) / 16 in
-  for blk = 0 to nblocks - 1 do
-    Bytes_util.set_u64_be counter_block 8 (Int64.of_int blk);
-    let keystream = Aes128.encrypt_block key counter_block in
+  let next_keystream blk =
+    Bytes.set_int64_be counter_block 8 (Int64.of_int blk);
+    Aes128.encrypt_into key counter_block 0 keystream 0
+  in
+  let full = n / 16 in
+  for blk = 0 to full - 1 do
+    next_keystream blk;
     let pos = 16 * blk in
-    let len = min 16 (n - pos) in
-    for i = 0 to len - 1 do
+    Bytes.set_int64_ne out pos
+      (Int64.logxor (Bytes.get_int64_ne data pos) (Bytes.get_int64_ne keystream 0));
+    Bytes.set_int64_ne out (pos + 8)
+      (Int64.logxor (Bytes.get_int64_ne data (pos + 8)) (Bytes.get_int64_ne keystream 8))
+  done;
+  let pos = 16 * full in
+  if pos < n then begin
+    next_keystream full;
+    for i = 0 to n - pos - 1 do
       Bytes.set out (pos + i)
         (Char.chr
-           (Char.code (Bytes.get out (pos + i))
-           lxor Char.code (Bytes.get keystream i)))
+           (Char.code (Bytes.get data (pos + i)) lxor Char.code (Bytes.get keystream i)))
     done
-  done;
+  end;
   out
 
 (* Derive independent cipher and MAC keys from one 16-byte master key,

@@ -1,6 +1,7 @@
 (* Crypto substrate tests: published vectors (FIPS 197, FIPS 180-4,
-   RFC 4231, RFC 8439) plus qcheck properties on round-trips and
-   arithmetic laws. *)
+   RFC 4231, RFC 8439) plus qcheck properties on round-trips,
+   arithmetic laws, and AES/CTR agreement with the bit-serial
+   reference in [Aes_oracle]. *)
 
 open Vg_crypto
 
@@ -205,6 +206,110 @@ let test_seal_wrong_nonce () =
   let sealed = Ctr.seal ~key ~nonce:(hex "0000000000000001") (Bytes.of_string "x") in
   Alcotest.(check bool) "nonce binds" true
     (Ctr.open_ ~key ~nonce:(hex "0000000000000002") sealed = None)
+
+let test_aes_encrypt_into_bounds () =
+  let key = Aes128.expand (Bytes.create 16) in
+  let msg = Invalid_argument "Aes128.encrypt_into: block out of bounds" in
+  Alcotest.check_raises "src" msg (fun () ->
+      Aes128.encrypt_into key (Bytes.create 20) 5 (Bytes.create 16) 0);
+  Alcotest.check_raises "dst" msg (fun () ->
+      Aes128.encrypt_into key (Bytes.create 16) 0 (Bytes.create 16) (-1))
+
+(* ------------------------------------------------------------------ *)
+(* Differential properties against the bit-serial oracle              *)
+
+let gen_bytes len = QCheck2.Gen.(map Bytes.of_string (string_size ~gen:char len))
+let gen_block = gen_bytes (QCheck2.Gen.return 16)
+let gen_nonce = gen_bytes (QCheck2.Gen.return 8)
+
+(* Lengths span 0-9000 (past two swap pages), but four in five stay
+   under ten blocks: the bit-serial oracle runs near 0.5 MB/s. *)
+let gen_payload =
+  gen_bytes QCheck2.Gen.(frequency [ (1, int_range 0 9000); (4, int_range 0 160) ])
+
+let print_len b = Printf.sprintf "<%d bytes>" (Bytes.length b)
+
+(* CTR driven block by block through the oracle, from the mode's
+   definition: keystream block [i] encrypts [nonce || be64 i]. *)
+let oracle_ctr key ~nonce data =
+  let n = Bytes.length data in
+  let out = Bytes.copy data in
+  for blk = 0 to ((n + 15) / 16) - 1 do
+    let counter = Bytes.cat nonce (Bytes.create 8) in
+    Bytes_util.set_u64_be counter 8 (Int64.of_int blk);
+    let keystream = Aes_oracle.encrypt_block key counter in
+    for i = 0 to min 16 (n - (16 * blk)) - 1 do
+      let pos = (16 * blk) + i in
+      Bytes.set out pos
+        (Char.chr (Char.code (Bytes.get out pos) lxor Char.code (Bytes.get keystream i)))
+    done
+  done;
+  out
+
+let prop_encrypt_matches_oracle =
+  QCheck2.Test.make ~name:"encrypt_block matches oracle" ~count:1000
+    QCheck2.Gen.(pair gen_block gen_block)
+    (fun (k, plain) ->
+      Bytes.equal
+        (Aes128.encrypt_block (Aes128.expand k) plain)
+        (Aes_oracle.encrypt_block (Aes_oracle.expand k) plain))
+
+let prop_decrypt_matches_oracle =
+  QCheck2.Test.make ~name:"decrypt_block matches oracle" ~count:1000
+    QCheck2.Gen.(pair gen_block gen_block)
+    (fun (k, cipher) ->
+      Bytes.equal
+        (Aes128.decrypt_block (Aes128.expand k) cipher)
+        (Aes_oracle.decrypt_block (Aes_oracle.expand k) cipher))
+
+let prop_encrypt_into_offsets =
+  QCheck2.Test.make ~name:"encrypt_into at offsets = encrypt_block" ~count:1000
+    QCheck2.Gen.(triple gen_block (int_range 0 16) (int_range 0 16))
+    (fun (k, soff, doff) ->
+      let key = Aes128.expand k in
+      let src = Bytes.init 32 (fun i -> Char.chr (i * 7 land 0xff)) in
+      let dst = Bytes.make 32 '\x55' in
+      Aes128.encrypt_into key src soff dst doff;
+      Bytes.equal (Bytes.sub dst doff 16)
+        (Aes128.encrypt_block key (Bytes.sub src soff 16)))
+
+let prop_ctr_matches_oracle =
+  QCheck2.Test.make ~name:"Ctr.transform matches oracle CTR" ~count:1000
+    ~print:(fun (_, _, d) -> print_len d)
+    QCheck2.Gen.(triple gen_block gen_nonce gen_payload)
+    (fun (k, nonce, data) ->
+      Bytes.equal
+        (Ctr.transform ~key:(Aes128.expand k) ~nonce data)
+        (oracle_ctr (Aes_oracle.expand k) ~nonce data))
+
+let prop_ctr_involution =
+  QCheck2.Test.make ~name:"Ctr.transform twice is identity" ~count:1000
+    ~print:(fun (_, _, d) -> print_len d)
+    QCheck2.Gen.(triple gen_block gen_nonce gen_payload)
+    (fun (k, nonce, data) ->
+      let key = Aes128.expand k in
+      Bytes.equal data (Ctr.transform ~key ~nonce (Ctr.transform ~key ~nonce data)))
+
+let prop_seal_open =
+  QCheck2.Test.make ~name:"open (seal m) = Some m" ~count:1000
+    ~print:(fun (_, _, d) -> print_len d)
+    QCheck2.Gen.(triple gen_block gen_nonce gen_payload)
+    (fun (key, nonce, msg) ->
+      match Ctr.open_ ~key ~nonce (Ctr.seal ~key ~nonce msg) with
+      | Some plain -> Bytes.equal plain msg
+      | None -> false)
+
+let prop_seal_bit_flip =
+  QCheck2.Test.make ~name:"a flipped sealed bit opens to None" ~count:1000
+    ~print:(fun (_, _, d, bit) -> Printf.sprintf "%s, bit %d" (print_len d) bit)
+    QCheck2.Gen.(quad gen_block gen_nonce gen_payload (int_bound max_int))
+    (fun (key, nonce, msg, bit) ->
+      let sealed = Ctr.seal ~key ~nonce msg in
+      let bit = bit mod (8 * Bytes.length sealed) in
+      let pos = bit / 8 in
+      Bytes.set sealed pos
+        (Char.chr (Char.code (Bytes.get sealed pos) lxor (1 lsl (bit mod 8))));
+      Ctr.open_ ~key ~nonce sealed = None)
 
 (* ------------------------------------------------------------------ *)
 (* ChaCha20 (RFC 8439 section 2.3.2)                                   *)
@@ -454,6 +559,7 @@ let () =
           Alcotest.test_case "SP 800-38A F.1.1 full" `Quick test_aes_ecb_full_f11;
           Alcotest.test_case "CTR NIST F.5.1" `Quick test_ctr_nist_f51;
           Alcotest.test_case "bad sizes" `Quick test_aes_bad_sizes;
+          Alcotest.test_case "encrypt_into bounds" `Quick test_aes_encrypt_into_bounds;
         ] );
       ( "ctr",
         [
@@ -461,6 +567,13 @@ let () =
           Alcotest.test_case "seal/open" `Quick test_seal_open;
           Alcotest.test_case "nonce binds" `Quick test_seal_wrong_nonce;
         ] );
+      ( "aes-ctr-properties",
+        qcheck
+          [
+            prop_encrypt_matches_oracle; prop_decrypt_matches_oracle;
+            prop_encrypt_into_offsets; prop_ctr_matches_oracle; prop_ctr_involution;
+            prop_seal_open; prop_seal_bit_flip;
+          ] );
       ( "chacha20",
         [
           Alcotest.test_case "RFC 8439 block" `Quick test_chacha20_block;
