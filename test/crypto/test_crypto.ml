@@ -567,7 +567,7 @@ let () =
           Alcotest.test_case "seal/open" `Quick test_seal_open;
           Alcotest.test_case "nonce binds" `Quick test_seal_wrong_nonce;
         ] );
-      ( "aes-ctr-properties",
+      ( "aes-properties",
         qcheck
           [
             prop_encrypt_matches_oracle; prop_decrypt_matches_oracle;
