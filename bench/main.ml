@@ -769,6 +769,17 @@ let bechamel () =
     compile_linked ~cfi:true
       (Vg_compiler.Sandbox_pass.instrument_program (rec_sum_program ()))
   in
+  (* the file-system host path: a name lookup in a 128-entry directory
+     and one 10,000-byte copyin from a user buffer, on a VG kernel *)
+  let k = boot_fresh Sva.Virtual_ghost in
+  ignore (Diskfs.mkdir k.Kernel.fs "/d");
+  for i = 0 to 127 do
+    ignore (Diskfs.create k.Kernel.fs (Printf.sprintf "/d/f%d" i))
+  done;
+  let p = Kernel.init_process k in
+  let user_va = 0x0000_0000_0060_0000L in
+  ignore (Kernel.ensure_user_range k p user_va ~len:10_000);
+  Kernel.switch_to k p;
   let tests =
     Test.make_grouped ~name:"vg" ~fmt:"%s %s"
       [
@@ -787,6 +798,10 @@ let bechamel () =
           (Staged.stage (fun () -> ignore (Vg_crypto.Ctr.open_ ~key:raw_key ~nonce sealed)));
         Test.make ~name:"sha256-block"
           (Staged.stage (fun () -> ignore (Vg_crypto.Sha256.digest block)));
+        Test.make ~name:"dir-lookup-128"
+          (Staged.stage (fun () -> ignore (Diskfs.lookup k.Kernel.fs "/d/f100")));
+        Test.make ~name:"copyin-10k"
+          (Staged.stage (fun () -> ignore (Kmem.read_bytes k.Kernel.kmem user_va ~len:10_000)));
         Test.make ~name:"executor-collatz"
           (Staged.stage (fun () -> ignore (run_image_cycles collatz)));
         Test.make ~name:"executor-recsum"

@@ -1,13 +1,24 @@
 let block_bytes = 4096
 let sectors_per_block = block_bytes / Disk.sector_bytes
 
+(* Block numbers hash as themselves: lookups never reach the
+   polymorphic [compare]/[caml_hash].  Iteration order is irrelevant —
+   eviction picks the unique minimum stamp and [sync] writes the same
+   sectors in any order. *)
+module Blocks = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash b = b land max_int
+end)
+
 type entry = { data : bytes; mutable dirty : bool; mutable stamp : int }
 
 type t = {
   disk : Disk.t;
   kmem : Kmem.t;
   capacity : int;
-  cache : (int, entry) Hashtbl.t;
+  cache : entry Blocks.t;
   mutable lock : Spinlock.t option;
   mutable tick : int;
   mutable hits : int;
@@ -19,7 +30,7 @@ let create ?(capacity = 1024) ~kmem disk =
     disk;
     kmem;
     capacity;
-    cache = Hashtbl.create capacity;
+    cache = Blocks.create capacity;
     lock = None;
     tick = 0;
     hits = 0;
@@ -48,10 +59,10 @@ let flush_entry t b entry =
   end
 
 let evict_if_full t =
-  if Hashtbl.length t.cache >= t.capacity then begin
+  if Blocks.length t.cache >= t.capacity then begin
     (* Evict the least-recently-used block. *)
     let victim = ref None in
-    Hashtbl.iter
+    Blocks.iter
       (fun b e ->
         match !victim with
         | Some (_, stamp) when stamp <= e.stamp -> ()
@@ -60,9 +71,9 @@ let evict_if_full t =
     match !victim with
     | None -> ()
     | Some (b, _) ->
-        let e = Hashtbl.find t.cache b in
+        let e = Blocks.find t.cache b in
         flush_entry t b e;
-        Hashtbl.remove t.cache b
+        Blocks.remove t.cache b
   end
 
 let touch t entry =
@@ -73,7 +84,7 @@ let lookup t b =
   if b < 0 || b >= blocks t then invalid_arg "Buffer_cache: block out of range";
   (* Hash lookup + LRU bookkeeping are kernel memory operations. *)
   Kmem.work t.kmem 25;
-  match Hashtbl.find_opt t.cache b with
+  match Blocks.find_opt t.cache b with
   | Some entry ->
       t.hits <- t.hits + 1;
       touch t entry;
@@ -84,7 +95,7 @@ let lookup t b =
       let data = Disk.read_range t.disk ~sector:(b * sectors_per_block) ~count:sectors_per_block in
       let entry = { data; dirty = false; stamp = 0 } in
       touch t entry;
-      Hashtbl.replace t.cache b entry;
+      Blocks.replace t.cache b entry;
       entry
 
 let read t b =
@@ -94,14 +105,14 @@ let read t b =
       Bytes.copy entry.data)
 
 (* A full-block write never needs the old contents: a cache miss here
-   allocates a fresh buffer instead of reading the disk. *)
-let write t b src =
+   allocates a fresh buffer instead of reading the disk.  [fill] writes
+   the block's new contents into the (zeroed) buffer. *)
+let overwrite t b fill =
   guarded t @@ fun () ->
-  if Bytes.length src > block_bytes then invalid_arg "Buffer_cache.write: oversized block";
   if b < 0 || b >= blocks t then invalid_arg "Buffer_cache: block out of range";
   Kmem.work t.kmem 25;
   let entry =
-    match Hashtbl.find_opt t.cache b with
+    match Blocks.find_opt t.cache b with
     | Some entry ->
         t.hits <- t.hits + 1;
         touch t entry;
@@ -111,13 +122,19 @@ let write t b src =
         evict_if_full t;
         let entry = { data = Bytes.make block_bytes '\000'; dirty = true; stamp = 0 } in
         touch t entry;
-        Hashtbl.replace t.cache b entry;
+        Blocks.replace t.cache b entry;
         entry
   in
   Machine.charge ~tag:Obs.Tag.Copy (Kmem.machine t.kmem) (Cost.copy_cycles block_bytes);
   Bytes.fill entry.data 0 block_bytes '\000';
-  Bytes.blit src 0 entry.data 0 (Bytes.length src);
+  fill entry.data;
   entry.dirty <- true
+
+let write t b src =
+  if Bytes.length src > block_bytes then invalid_arg "Buffer_cache.write: oversized block";
+  overwrite t b (fun data -> Bytes.blit src 0 data 0 (Bytes.length src))
+
+let zero t b = overwrite t b ignore
 
 let modify t b f =
   guarded t (fun () ->
@@ -130,4 +147,4 @@ let view t b f =
       let entry = lookup t b in
       f entry.data)
 
-let sync t = guarded t (fun () -> Hashtbl.iter (fun b e -> flush_entry t b e) t.cache)
+let sync t = guarded t (fun () -> Blocks.iter (fun b e -> flush_entry t b e) t.cache)

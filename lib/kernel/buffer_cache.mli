@@ -24,6 +24,10 @@ val read : t -> int -> bytes
 val write : t -> int -> bytes -> unit
 (** Replace block [b] (short buffers are zero-padded). *)
 
+val zero : t -> int -> unit
+(** [zero t b] is [write t b] of an all-zero block, charged the same,
+    without a source buffer. *)
+
 val modify : t -> int -> (bytes -> unit) -> unit
 (** In-place update of a cached block (marks it dirty). *)
 

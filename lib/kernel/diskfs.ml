@@ -59,23 +59,23 @@ let bitmap_set t block idx v =
       let next = if v then cur lor (1 lsl bit) else cur land lnot (1 lsl bit) in
       Bytes.set data byte (Char.chr next))
 
+(* A read-only scan: the [bitmap_set] that claims the bit dirties the
+   block, and a full bitmap is left clean. *)
 let bitmap_find_free t block limit =
-  let found = ref None in
-  Buffer_cache.modify t.bc block (fun data ->
-      (try
-         for byte = 0 to ((limit + 7) / 8) - 1 do
-           let v = Char.code (Bytes.get data byte) in
-           if v <> 0xff then
-             for bit = 0 to 7 do
-               let idx = (byte * 8) + bit in
-               if idx < limit && v land (1 lsl bit) = 0 && !found = None then begin
-                 found := Some idx;
-                 raise Exit
-               end
-             done
-         done
-       with Exit -> ()));
-  !found
+  Buffer_cache.view t.bc block (fun data ->
+      let rec scan byte =
+        if byte * 8 >= limit then None
+        else
+          let v = Char.code (Bytes.get data byte) in
+          if v = 0xff then scan (byte + 1) else scan_bits byte v 0
+      and scan_bits byte v bit =
+        let idx = (byte * 8) + bit in
+        if bit = 8 then scan (byte + 1)
+        else if idx >= limit then None
+        else if v land (1 lsl bit) = 0 then Some idx
+        else scan_bits byte v (bit + 1)
+      in
+      scan 0)
 
 let alloc_block t =
   charge t 250;
@@ -85,7 +85,7 @@ let alloc_block t =
   | Some idx ->
       bitmap_set t block_bitmap_block idx true;
       let b = data_start + idx in
-      Buffer_cache.write t.bc b (Bytes.make block_bytes '\000');
+      Buffer_cache.zero t.bc b;
       Some b
 
 let free_block t b =
@@ -113,25 +113,23 @@ let read_inode t ino : inode option =
   else begin
     charge t 60;
     let block, off = inode_location ino in
-    let result = ref None in
-    Buffer_cache.modify t.bc block (fun data ->
+    Buffer_cache.view t.bc block (fun data ->
         let ity = Bytes.get_int32_le data off in
-        if ity <> 0l then begin
+        if ity = 0l then None
+        else begin
           let direct = Array.make direct_count 0 in
           for i = 0 to direct_count - 1 do
             direct.(i) <- Int32.to_int (Bytes.get_int32_le data (off + 20 + (4 * i)))
           done;
-          result :=
-            Some
-              {
-                itype = (if ity = 2l then Dir else Reg);
-                nlink = Int32.to_int (Bytes.get_int32_le data (off + 4));
-                size = Int64.to_int (Bytes.get_int64_le data (off + 8));
-                indirect = Int32.to_int (Bytes.get_int32_le data (off + 16));
-                direct;
-              }
-        end);
-    !result
+          Some
+            {
+              itype = (if ity = 2l then Dir else Reg);
+              nlink = Int32.to_int (Bytes.get_int32_le data (off + 4));
+              size = Int64.to_int (Bytes.get_int64_le data (off + 8));
+              indirect = Int32.to_int (Bytes.get_int32_le data (off + 16));
+              direct;
+            }
+        end)
   end
 
 let write_inode t ino (inode : inode option) =
@@ -194,10 +192,11 @@ let block_of t inode ~logical ~alloc =
       if inode.indirect = 0 then None
       else begin
         charge t 30;
-        let current = ref 0 in
-        Buffer_cache.modify t.bc inode.indirect (fun data ->
-            current := Int32.to_int (Bytes.get_int32_le data (4 * slot)));
-        if !current <> 0 then Some !current
+        let current =
+          Buffer_cache.view t.bc inode.indirect (fun data ->
+              Int32.to_int (Bytes.get_int32_le data (4 * slot)))
+        in
+        if current <> 0 then Some current
         else if not alloc then None
         else begin
           match alloc_block t with
@@ -317,10 +316,14 @@ let truncate t ~ino ~len : unit Errno.result =
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
 
-(* Scan directory blocks in place through the cache (a real kernel
-   walks the buffer's contents; it does not copy the block). *)
-let dir_entries t inode =
-  let entries = ref [] in
+(* Walk a directory's live entries in place through the cache (a real
+   kernel scans the buffer's contents; it does not copy the block):
+   [f slot ino data off] sees each used slot, whose NUL-padded name is
+   [data] at [off + 4].  Each block costs one [block_of], one cache
+   lookup and 8 kernel-work units per slot scanned, charged once per
+   block — the same total as per slot, since preemption is taken only
+   at the trap epilogue. *)
+let scan_dir t inode f =
   let nents = inode.size / dirent_size in
   let per_block = block_bytes / dirent_size in
   let nblocks = (inode.size + block_bytes - 1) / block_bytes in
@@ -330,35 +333,51 @@ let dir_entries t inode =
     | Some b ->
         Buffer_cache.view t.bc b (fun data ->
             let first = blk * per_block in
-            for i = first to min (nents - 1) (first + per_block - 1) do
-              charge t 8;
-              let off = i mod per_block * dirent_size in
+            let last = min (nents - 1) (first + per_block - 1) in
+            if last >= first then charge t (8 * (last - first + 1));
+            for slot = first to last do
+              let off = slot mod per_block * dirent_size in
               let ino = Int32.to_int (Bytes.get_int32_le data off) in
-              if ino <> 0 then begin
-                let raw = Bytes.sub_string data (off + 4) name_max in
-                let name =
-                  match String.index_opt raw '\000' with
-                  | Some k -> String.sub raw 0 k
-                  | None -> raw
-                in
-                entries := (i, name, ino) :: !entries
-              end
+              if ino <> 0 then f slot ino data off
             done)
-  done;
+  done
+
+(* The stored name ends at its first NUL or after [name_max] bytes. *)
+let dirent_name data off =
+  let rec len i =
+    if i = name_max || Bytes.get data (off + 4 + i) = '\000' then i else len (i + 1)
+  in
+  Bytes.sub_string data (off + 4) (len 0)
+
+(* [name] equals the stored name, compared in place. *)
+let name_matches data off name =
+  let n = String.length name in
+  let rec same i =
+    i = n || (name.[i] <> '\000' && Bytes.get data (off + 4 + i) = name.[i] && same (i + 1))
+  in
+  n <= name_max && (n = name_max || Bytes.get data (off + 4 + n) = '\000') && same 0
+
+(* Live entries as [(name, ino)], in slot order. *)
+let dir_entries t inode =
+  let entries = ref [] in
+  scan_dir t inode (fun _ ino data off ->
+      entries := (dirent_name data off, ino) :: !entries);
   List.rev !entries
 
-let write_dirent t dir_ino inode ~slot ~name ~target =
+let write_dirent t dir_ino ~slot ~name ~target =
   let entry = Bytes.make dirent_size '\000' in
   Bytes.set_int32_le entry 0 (Int32.of_int target);
   Bytes.blit_string name 0 entry 4 (String.length name);
-  match write t ~ino:dir_ino ~off:(slot * dirent_size) entry with
-  | Ok _ ->
-      ignore inode;
-      Ok ()
-  | Error e -> Error e
+  Result.map ignore (write t ~ino:dir_ino ~off:(slot * dirent_size) entry)
 
+(* The lowest slot holding [name], as [(slot, ino)].  The scan goes on
+   past a match: a lookup is charged for every slot. *)
 let find_entry t inode name =
-  List.find_opt (fun (_, n, _) -> n = name) (dir_entries t inode)
+  let found = ref None in
+  scan_dir t inode (fun slot ino data off ->
+      if Option.is_none !found && name_matches data off name then
+        found := Some (slot, ino));
+  !found
 
 (* Split an absolute path into components. *)
 let components path =
@@ -376,7 +395,7 @@ let rec resolve t ino = function
       | Some inode -> (
           match find_entry t inode name with
           | None -> Error Errno.ENOENT
-          | Some (_, _, child) -> resolve t child rest))
+          | Some (_, child) -> resolve t child rest))
 
 let lookup t path =
   match components path with
@@ -410,11 +429,14 @@ let add_entry t dir_ino name target =
       match find_entry t dir name with
       | Some _ -> Error Errno.EEXIST
       | None ->
-          (* Reuse a free slot if any, else append. *)
-          let used = List.map (fun (slot, _, _) -> slot) (dir_entries t dir) in
-          let rec first_free k = if List.mem k used then first_free (k + 1) else k in
-          let slot = first_free 0 in
-          write_dirent t dir_ino dir ~slot ~name ~target)
+          (* Reuse the lowest free slot if any, else append. *)
+          let nents = dir.size / dirent_size in
+          let used = Bytes.make nents '\000' in
+          scan_dir t dir (fun slot _ _ _ -> Bytes.set used slot '\001');
+          let rec first_free k =
+            if k < nents && Bytes.get used k <> '\000' then first_free (k + 1) else k
+          in
+          write_dirent t dir_ino ~slot:(first_free 0) ~name ~target)
 
 let remove_entry t dir_ino name =
   match read_inode t dir_ino with
@@ -422,7 +444,7 @@ let remove_entry t dir_ino name =
   | Some dir -> (
       match find_entry t dir name with
       | None -> Error Errno.ENOENT
-      | Some (slot, _, target) -> (
+      | Some (slot, target) -> (
           match write t ~ino:dir_ino ~off:(slot * dirent_size) (Bytes.make dirent_size '\000') with
           | Ok _ -> Ok target
           | Error e -> Error e))
@@ -503,6 +525,8 @@ let rename t ~src ~dst : unit Errno.result =
   | Ok (src_dir, src_leaf), Ok (dst_dir, dst_leaf) -> (
       match lookup t src with
       | Error e -> Error e
+      (* Onto itself: a no-op (the replace path below would free it). *)
+      | Ok _ when src_dir = dst_dir && src_leaf = dst_leaf -> Ok ()
       | Ok ino -> (
           (* Replace an existing regular file at the destination. *)
           (match lookup t dst with
@@ -525,7 +549,7 @@ let readdir t ~ino : (string * int) list Errno.result =
   match read_inode t ino with
   | None -> Error Errno.ENOENT
   | Some inode when inode.itype <> Dir -> Error Errno.ENOTDIR
-  | Some inode -> Ok (List.map (fun (_, n, i) -> (n, i)) (dir_entries t inode))
+  | Some inode -> Ok (dir_entries t inode)
 
 let stat t ~ino : stat Errno.result =
   match read_inode t ino with
@@ -538,9 +562,8 @@ let stat t ~ino : stat Errno.result =
 let mkfs ?(charge_work = fun _ -> ()) bc =
   let t = { bc; charge_work } in
   (* Clear metadata blocks. *)
-  let zero = Bytes.make block_bytes '\000' in
   for b = 0 to data_start - 1 do
-    Buffer_cache.write bc b zero
+    Buffer_cache.zero bc b
   done;
   let sb = Bytes.make block_bytes '\000' in
   Bytes.set_int64_le sb 0 magic;

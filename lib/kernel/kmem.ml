@@ -67,8 +67,7 @@ let read_bytes t addr ~len =
         let page_off = Int64.to_int (Int64.logand va 0xfffL) in
         let chunk = min (len - !pos) (4096 - page_off) in
         let ea = effective t va in
-        (try
-           Bytes.blit (Machine.read_bytes_virt t.machine ea ~len:chunk) 0 out !pos chunk
+        (try Machine.read_into_virt t.machine ea out ~off:!pos ~len:chunk
          with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
            fault t "read" va;
            Bytes.fill out !pos chunk '\000');
@@ -85,7 +84,7 @@ let write_bytes t addr src =
         let page_off = Int64.to_int (Int64.logand va 0xfffL) in
         let chunk = min (len - !pos) (4096 - page_off) in
         let ea = effective t va in
-        (try Machine.write_bytes_virt t.machine ea (Bytes.sub src !pos chunk)
+        (try Machine.write_from_virt t.machine ea src ~off:!pos ~len:chunk
          with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
            fault t "write" va);
         pos := !pos + chunk

@@ -3,6 +3,15 @@ type access = Read | Write | Exec
 
 exception Page_fault of { va : int64; access : access; present : bool }
 
+(* Virtual page numbers hash as their low bits: no polymorphic
+   [compare]/[caml_hash] on the translation path. *)
+module Tlb = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash v = Int64.to_int v land max_int
+end)
+
 (* One CPU core: its own privilege level, cycle clock, TLB, installed
    address space and local-APIC timer.  The simulator runs cores one at
    a time (see [switch_core]); parallelism is modelled by each core
@@ -13,7 +22,7 @@ type core = {
   mutable privilege : privilege;
   mutable cycles : int;
   (* TLB: vpage -> pte, invalidated wholesale on context switch. *)
-  tlb : (int64, Pagetable.pte) Hashtbl.t;
+  tlb : Pagetable.pte Tlb.t;
   mutable current_pt : Pagetable.t;
   mutable timer_period : int; (* 0 = disarmed *)
   mutable timer_deadline : int;
@@ -86,7 +95,7 @@ let make_core id =
     id;
     privilege = Kernel;
     cycles = 0;
-    tlb = Hashtbl.create 512;
+    tlb = Tlb.create 512;
     current_pt = Pagetable.create ();
     timer_period = 0;
     timer_deadline = 0;
@@ -132,7 +141,7 @@ let privilege t = (core t).privilege
 let set_privilege t p = (core t).privilege <- p
 let kernel_pt t = t.kernel_pt
 let current_pt t = (core t).current_pt
-let flush_tlb t = Hashtbl.reset (core t).tlb
+let flush_tlb t = Tlb.reset (core t).tlb
 
 let set_current_pt t pt =
   let c = core t in
@@ -154,7 +163,7 @@ let tlb_shootdown t =
       (fun c ->
         if c.id <> sender.id then begin
           charge ~tag:Obs.Tag.Ipi t Cost.ipi_send;
-          Hashtbl.reset c.tlb;
+          Tlb.reset c.tlb;
           c.cycles <- c.cycles + Cost.ipi_deliver;
           if Obs.is_armed t.obs then
             Obs.charge t.obs ~cycles:c.cycles Obs.Tag.Ipi Cost.ipi_deliver;
@@ -208,14 +217,14 @@ let table_for t va =
 let lookup_pte t va =
   let c = core t in
   let vpage = Int64.shift_right_logical va 12 in
-  match Hashtbl.find_opt c.tlb vpage with
+  match Tlb.find_opt c.tlb vpage with
   | Some pte -> pte
   | None -> (
       charge ~tag:Obs.Tag.Tlb t Cost.tlb_miss;
       match Pagetable.lookup (table_for t va) ~vpage with
       | None -> raise (Page_fault { va; access = Read; present = false })
       | Some pte ->
-          Hashtbl.replace c.tlb vpage pte;
+          Tlb.replace c.tlb vpage pte;
           pte)
 
 let check_access t access va (pte : Pagetable.pte) =
@@ -325,19 +334,22 @@ let iter_pages va len f =
     pos := !pos + chunk
   done
 
-let read_bytes_virt t va ~len =
+let read_into_virt t va dst ~off ~len =
   charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
+  iter_pages va len (fun ~off:pos ~va ~len ->
+      Phys_mem.blit_to t.mem ~addr:(translate t Read va) dst ~off:(off + pos) ~len)
+
+let write_from_virt t va src ~off ~len =
+  charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
+  iter_pages va len (fun ~off:pos ~va ~len ->
+      Phys_mem.blit_from t.mem ~addr:(translate t Write va) src ~off:(off + pos) ~len)
+
+let read_bytes_virt t va ~len =
   let out = Bytes.create len in
-  iter_pages va len (fun ~off ~va ~len ->
-      let chunk = Phys_mem.read_bytes t.mem ~addr:(translate t Read va) ~len in
-      Bytes.blit chunk 0 out off len);
+  read_into_virt t va out ~off:0 ~len;
   out
 
-let write_bytes_virt t va src =
-  let len = Bytes.length src in
-  charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
-  iter_pages va len (fun ~off ~va ~len ->
-      Phys_mem.write_bytes t.mem ~addr:(translate t Write va) (Bytes.sub src off len))
+let write_bytes_virt t va src = write_from_virt t va src ~off:0 ~len:(Bytes.length src)
 
 let memcpy_virt t ~dst ~src ~len =
   let data = read_bytes_virt t src ~len in

@@ -151,10 +151,17 @@ val write_virt : t -> int64 -> len:int -> int64 -> unit
     {!Cost.mem_access} plus translation costs and obey the current
     privilege level. *)
 
+val read_into_virt : t -> int64 -> bytes -> off:int -> len:int -> unit
+val write_from_virt : t -> int64 -> bytes -> off:int -> len:int -> unit
+(** Bulk accessors: copy [len] bytes between virtual memory and the
+    caller's buffer at [off].  They charge per-byte copy cost up front
+    and translate page by page, so a fault part-way leaves the earlier
+    pages copied. *)
+
 val read_bytes_virt : t -> int64 -> len:int -> bytes
 val write_bytes_virt : t -> int64 -> bytes -> unit
-(** Bulk accessors; charge per-byte copy cost and translate page by
-    page. *)
+(** Whole-buffer forms of {!read_into_virt} (into a fresh buffer) and
+    {!write_from_virt}. *)
 
 val memcpy_virt : t -> dst:int64 -> src:int64 -> len:int -> unit
 

@@ -1,21 +1,30 @@
 let frame_bytes = 4096
 
-type t = { nframes : int; frames : (int, bytes) Hashtbl.t }
+(* Frame numbers are small dense ints: hash them as themselves so a
+   lookup never reaches the polymorphic [compare]/[caml_hash]. *)
+module Frames = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
+type t = { nframes : int; frames : bytes Frames.t }
 
 exception Bad_physical_address of int64
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: need at least one frame";
-  { nframes = frames; frames = Hashtbl.create 1024 }
+  { nframes = frames; frames = Frames.create 1024 }
 
 let frames t = t.nframes
 
 let frame_of t i =
-  match Hashtbl.find_opt t.frames i with
+  match Frames.find_opt t.frames i with
   | Some b -> b
   | None ->
       let b = Bytes.make frame_bytes '\000' in
-      Hashtbl.replace t.frames i b;
+      Frames.replace t.frames i b;
       b
 
 let locate t addr len =
@@ -48,34 +57,40 @@ let write t ~addr ~len v =
   | 8 -> Bytes.set_int64_le b off v
   | _ -> invalid_arg "Phys_mem.write: len must be 1, 2, 4 or 8"
 
-let read_bytes t ~addr ~len =
-  let out = Bytes.create len in
+(* Bulk transfers between physical memory and a caller's buffer,
+   split at frame boundaries. *)
+let blit_to t ~addr dst ~off ~len =
   let pos = ref 0 in
   let addr = ref addr in
   while !pos < len do
     let chunk = min (len - !pos) (frame_bytes - Int64.to_int (Int64.logand !addr 0xfffL)) in
-    let frame, off = locate t !addr chunk in
-    Bytes.blit (frame_of t frame) off out !pos chunk;
-    pos := !pos + chunk;
-    addr := Int64.add !addr (Int64.of_int chunk)
-  done;
-  out
-
-let write_bytes t ~addr src =
-  let len = Bytes.length src in
-  let pos = ref 0 in
-  let addr = ref addr in
-  while !pos < len do
-    let chunk = min (len - !pos) (frame_bytes - Int64.to_int (Int64.logand !addr 0xfffL)) in
-    let frame, off = locate t !addr chunk in
-    Bytes.blit src !pos (frame_of t frame) off chunk;
+    let frame, foff = locate t !addr chunk in
+    Bytes.blit (frame_of t frame) foff dst (off + !pos) chunk;
     pos := !pos + chunk;
     addr := Int64.add !addr (Int64.of_int chunk)
   done
 
+let blit_from t ~addr src ~off ~len =
+  let pos = ref 0 in
+  let addr = ref addr in
+  while !pos < len do
+    let chunk = min (len - !pos) (frame_bytes - Int64.to_int (Int64.logand !addr 0xfffL)) in
+    let frame, foff = locate t !addr chunk in
+    Bytes.blit src (off + !pos) (frame_of t frame) foff chunk;
+    pos := !pos + chunk;
+    addr := Int64.add !addr (Int64.of_int chunk)
+  done
+
+let read_bytes t ~addr ~len =
+  let out = Bytes.create len in
+  blit_to t ~addr out ~off:0 ~len;
+  out
+
+let write_bytes t ~addr src = blit_from t ~addr src ~off:0 ~len:(Bytes.length src)
+
 let zero_frame t i =
   if i < 0 || i >= t.nframes then
     raise (Bad_physical_address (Int64.of_int (i * frame_bytes)));
-  Hashtbl.remove t.frames i
+  Frames.remove t.frames i
 
-let frame_is_allocated t i = Hashtbl.mem t.frames i
+let frame_is_allocated t i = Frames.mem t.frames i

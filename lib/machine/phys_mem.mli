@@ -22,6 +22,14 @@ val read : t -> addr:int64 -> len:int -> int64
 val write : t -> addr:int64 -> len:int -> int64 -> unit
 (** Little-endian truncating store. *)
 
+val blit_to : t -> addr:int64 -> bytes -> off:int -> len:int -> unit
+(** [blit_to t ~addr dst ~off ~len] copies [len] bytes at physical
+    [addr] into [dst] at [off]; may cross frame boundaries. *)
+
+val blit_from : t -> addr:int64 -> bytes -> off:int -> len:int -> unit
+(** [blit_from t ~addr src ~off ~len] copies [len] bytes of [src] from
+    [off] to physical [addr]; may cross frame boundaries. *)
+
 val read_bytes : t -> addr:int64 -> len:int -> bytes
 (** Bulk read; may cross frame boundaries. *)
 

@@ -155,6 +155,155 @@ let test_fs_truncate () =
   Alcotest.(check int) "read capped" 100
     (Bytes.length (expect_ok "read" (Diskfs.read k.Kernel.fs ~ino ~off:0 ~len:10000)))
 
+(* The cycles [f] charges per tag on [k]'s machine, and its events. *)
+let observe k f =
+  let stats = Vg_obs.Obs_stats.create () in
+  let r =
+    Vg_obs.Obs.with_sink (Machine.obs k.Kernel.machine) (Vg_obs.Obs_stats.sink stats) f
+  in
+  (r, stats)
+
+let cycles stats tag = Vg_obs.Obs_stats.cycles stats tag
+
+(* Reads only look at cached blocks: once everything is synced, a
+   lookup, stat and read (through the indirect block) leave nothing
+   dirty, so the next sync writes no sector. *)
+let test_fs_pure_reads_stay_clean () =
+  let k = boot () in
+  let fs = k.Kernel.fs in
+  ignore (expect_ok "mkdir" (Diskfs.mkdir fs "/d"));
+  let ino = expect_ok "create" (Diskfs.create fs "/d/big") in
+  let data = Bytes.init (16 * 4096) (fun i -> Char.chr (i mod 253)) in
+  ignore (expect_ok "write" (Diskfs.write fs ~ino ~off:0 data));
+  Diskfs.sync fs;
+  let (), stats =
+    observe k (fun () ->
+        let ino = expect_ok "lookup" (Diskfs.lookup fs "/d/big") in
+        let st = expect_ok "stat" (Diskfs.stat fs ~ino) in
+        Alcotest.(check int) "size" (Bytes.length data) st.Diskfs.size;
+        Alcotest.(check bytes) "content" data
+          (expect_ok "read" (Diskfs.read fs ~ino ~off:0 ~len:st.Diskfs.size));
+        Diskfs.sync fs)
+  in
+  Alcotest.(check int) "no disk cycles" 0 (cycles stats Vg_obs.Obs.Tag.Disk)
+
+(* A 200-slot directory with a hole every seventh slot: one lookup and
+   one create (which fills the lowest hole) charge exactly what the
+   per-slot scan charged; the pinned values were taken from it. *)
+let test_fs_dir_scan_charges () =
+  let k = boot () in
+  let fs = k.Kernel.fs in
+  let path i = Printf.sprintf "/big/f%d" i in
+  ignore (expect_ok "mkdir" (Diskfs.mkdir fs "/big"));
+  for i = 0 to 199 do
+    ignore (expect_ok "create" (Diskfs.create fs (path i)))
+  done;
+  for i = 0 to 199 do
+    if i mod 7 = 3 then ignore (expect_ok "unlink" (Diskfs.unlink fs (path i)))
+  done;
+  let ino, lookup = observe k (fun () -> expect_ok "lookup" (Diskfs.lookup fs (path 151))) in
+  let fresh, create = observe k (fun () -> expect_ok "create" (Diskfs.create fs "/big/new")) in
+  let dir = expect_ok "dir" (Diskfs.lookup fs "/big") in
+  let entries = expect_ok "readdir" (Diskfs.readdir fs ~ino:dir) in
+  Alcotest.(check (option int)) "found" (Some ino) (List.assoc_opt "f151" entries);
+  Alcotest.(check (pair string int)) "lowest hole reused" ("new", fresh) (List.nth entries 3);
+  let pin what stats tag expected = Alcotest.(check int) what expected (cycles stats tag) in
+  pin "lookup kernel work" lookup Vg_obs.Obs.Tag.Kernel_work 4906;
+  pin "lookup mask" lookup Vg_obs.Obs.Tag.Mask 17171;
+  pin "create kernel work" create Vg_obs.Obs.Tag.Kernel_work 10666;
+  pin "create mask" create Vg_obs.Obs.Tag.Mask 37331
+
+(* One directory under random create/unlink/lookup/readdir/rename,
+   checked against a slot-by-slot model: names of 1-27 bytes (prefix
+   pairs and exact 27-byte names among them), 28-byte names refused
+   with EINVAL, and a freed slot reused lowest-first — so readdir, in
+   slot order, must equal the model's live slots in order. *)
+let dir_names =
+  [| "f1"; "f10"; "f100"; "a"; "ab"; "zz"; String.make 26 'n'; String.make 27 'n';
+     String.make 26 'n' ^ "m"; "m" ^ String.make 26 'n' |]
+
+let prop_dir_model =
+  let open QCheck2.Gen in
+  let name = frequency [ (12, oneofa dir_names); (1, pure (String.make 28 'n')) ] in
+  let op =
+    frequency
+      [
+        (4, map (fun n -> `Create n) name);
+        (2, map (fun n -> `Unlink n) name);
+        (2, map (fun n -> `Lookup n) name);
+        (1, pure `Readdir);
+        (2, map2 (fun a b -> `Rename (a, b)) name name);
+      ]
+  in
+  let print =
+    QCheck2.Print.list (function
+      | `Create n -> "create " ^ n
+      | `Unlink n -> "unlink " ^ n
+      | `Lookup n -> "lookup " ^ n
+      | `Readdir -> "readdir"
+      | `Rename (a, b) -> Printf.sprintf "rename %s %s" a b)
+  in
+  QCheck2.Test.make ~name:"directory agrees with a slot model" ~count:60 ~print
+    (list_size (int_range 1 60) op)
+    (fun ops ->
+      let k = boot () in
+      let fs = k.Kernel.fs in
+      ignore (expect_ok "mkdir" (Diskfs.mkdir fs "/d"));
+      let dir = expect_ok "dir" (Diskfs.lookup fs "/d") in
+      (* slot -> (name, ino); the directory never shrinks *)
+      let slots = ref [||] in
+      let find n =
+        let r = ref None in
+        Array.iteri
+          (fun i s -> match s with Some (m, ino) when m = n -> r := Some (i, ino) | _ -> ())
+          !slots;
+        !r
+      in
+      let add n ino =
+        let rec free i = if i < Array.length !slots && !slots.(i) <> None then free (i + 1) else i in
+        let i = free 0 in
+        if i = Array.length !slots then slots := Array.append !slots [| None |];
+        !slots.(i) <- Some (n, ino)
+      in
+      let remove n = Option.iter (fun (i, _) -> !slots.(i) <- None) (find n) in
+      let live () = List.filter_map Fun.id (Array.to_list !slots) in
+      let too_long n = String.length n > 27 in
+      let path n = "/d/" ^ n in
+      let agrees = function
+        | `Create n -> (
+            match (Diskfs.create fs (path n), find n) with
+            | Error Errno.EINVAL, _ -> too_long n
+            | Error Errno.EEXIST, Some _ -> true
+            | Ok ino, None -> (not (too_long n)) && (add n ino; true)
+            | _ -> false)
+        | `Unlink n -> (
+            match (Diskfs.unlink fs (path n), find n) with
+            | Error Errno.EINVAL, _ -> too_long n
+            | Error Errno.ENOENT, None -> true
+            | Ok (), Some _ -> remove n; true
+            | _ -> false)
+        | `Lookup n -> (
+            match (Diskfs.lookup fs (path n), find n) with
+            | Ok ino, Some (_, ino') -> ino = ino'
+            | Error Errno.ENOENT, None -> true
+            | _ -> false)
+        | `Readdir -> Diskfs.readdir fs ~ino:dir = Ok (live ())
+        | `Rename (a, b) -> (
+            match (Diskfs.rename fs ~src:(path a) ~dst:(path b), find a) with
+            | Error Errno.EINVAL, _ -> too_long a || too_long b
+            | _ when too_long a || too_long b -> false
+            | Error Errno.ENOENT, None -> true
+            | Ok (), Some (_, ino) ->
+                if a <> b then begin
+                  remove b;
+                  add b ino;
+                  remove a
+                end;
+                true
+            | _ -> false)
+      in
+      List.for_all agrees ops && Diskfs.readdir fs ~ino:dir = Ok (live ()))
+
 (* Random create/write/read/delete sequences against a pure model: the
    file system must agree with a Map of path -> contents at every
    read, and end state must match exactly. *)
@@ -405,6 +554,53 @@ let test_page_fault_handler () =
   ignore (expect_ok "fault" (Kernel.handle_page_fault k p va));
   user_write k p va (Bytes.of_string "demand");
   Alcotest.(check string) "mapped by fault" "demand" (Bytes.to_string (user_read k p va 6))
+
+(* A kernel copy across three pages whose middle page is unmapped:
+   only the middle chunk faults — read as zeros, dropped on write —
+   with one Security event per copy and the parent's per-chunk
+   Copy/Mask charges. *)
+let test_kmem_copy_across_hole () =
+  let k = boot () in
+  let p = init k in
+  let m = k.Kernel.machine and kmem = k.Kernel.kmem in
+  let page i = Int64.add 0x0000_0000_0080_0000L (Int64.of_int (i * 4096)) in
+  ignore (expect_ok "map page 0" (Kernel.ensure_user_range k p (page 0) ~len:4096));
+  ignore (expect_ok "map page 2" (Kernel.ensure_user_range k p (page 2) ~len:4096));
+  Kernel.switch_to k p;
+  let pattern = Bytes.init 4096 (fun i -> Char.chr (i mod 251)) in
+  Machine.write_bytes_virt m (page 0) pattern;
+  Machine.write_bytes_virt m (page 2) pattern;
+  (* 2 KB from page 0, all of page 1, 2 KB from page 2 *)
+  let start = Int64.add (page 0) 0x800L and len = 2 * 4096 in
+  (* Leave freed non-zero buffers of the copy's size behind, so a chunk
+     that is not zero-filled shows up as garbage rather than as the
+     zeros of fresh memory. *)
+  for _ = 1 to 64 do
+    ignore (Sys.opaque_identity (Bytes.make len 'G'))
+  done;
+  Gc.full_major ();
+  let back, read = observe k (fun () -> Kmem.read_bytes kmem start ~len) in
+  Alcotest.(check bytes) "read"
+    (Bytes.concat Bytes.empty
+       [ Bytes.sub pattern 2048 2048; Bytes.make 4096 '\000'; Bytes.sub pattern 0 2048 ])
+    back;
+  let (), write = observe k (fun () -> Kmem.write_bytes kmem start (Bytes.make len 'W')) in
+  let written ~lo ~hi = Bytes.mapi (fun j c -> if j >= lo && j < hi then 'W' else c) pattern in
+  Alcotest.(check bytes) "page 0 written" (written ~lo:2048 ~hi:4096)
+    (Machine.read_bytes_virt m (page 0) ~len:4096);
+  Alcotest.(check bytes) "page 2 written" (written ~lo:0 ~hi:2048)
+    (Machine.read_bytes_virt m (page 2) ~len:4096);
+  Alcotest.(check bool) "hole still unmapped" true
+    (match Machine.read_virt m (page 1) ~len:1 with
+    | _ -> false
+    | exception Machine.Page_fault _ -> true);
+  List.iter
+    (fun (what, stats) ->
+      Alcotest.(check int) (what ^ " security events") 1
+        (Vg_obs.Obs_stats.security_events stats);
+      Alcotest.(check int) (what ^ " copy cycles") 2048 (cycles stats Vg_obs.Obs.Tag.Copy);
+      Alcotest.(check int) (what ^ " mask cycles") 21 (cycles stats Vg_obs.Obs.Tag.Mask))
+    [ ("read", read); ("write", write) ]
 
 (* The central enforcement property, end to end through the kernel. *)
 let ghost_heap = Int64.add Layout.ghost_start 0x100000L
@@ -1364,6 +1560,9 @@ let () =
           Alcotest.test_case "errors" `Quick test_fs_errors;
           Alcotest.test_case "truncate" `Quick test_fs_truncate;
           QCheck_alcotest.to_alcotest prop_diskfs_model;
+          Alcotest.test_case "pure reads stay clean" `Quick test_fs_pure_reads_stay_clean;
+          Alcotest.test_case "dir scan charges" `Quick test_fs_dir_scan_charges;
+          QCheck_alcotest.to_alcotest prop_dir_model;
         ] );
       ( "syscalls-files",
         [
@@ -1384,6 +1583,7 @@ let () =
         [
           Alcotest.test_case "mmap/munmap" `Quick test_mmap_munmap;
           Alcotest.test_case "page fault handler" `Quick test_page_fault_handler;
+          Alcotest.test_case "kmem copy across hole" `Quick test_kmem_copy_across_hole;
           Alcotest.test_case "ghost isolation end-to-end" `Quick
             test_ghost_isolation_end_to_end;
           Alcotest.test_case "freegm syscall" `Quick test_freegm_syscall;
