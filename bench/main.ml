@@ -779,6 +779,14 @@ let bechamel () =
   let p = Kernel.init_process k in
   let user_va = 0x0000_0000_0060_0000L in
   ignore (Kernel.ensure_user_range k p user_va ~len:10_000);
+  (* the request data path: a 32 KB copyout into a mapped user buffer,
+     and the client receiving a 64 KB response as two 32 KB frames (the
+     kernel-side sends that queue them run inside the measurement) *)
+  let out_va = 0x0000_0000_0070_0000L and chunk = Bytes.make 32768 'r' in
+  ignore (Kernel.ensure_user_range k p out_va ~len:32768);
+  ignore (Netstack.listen k.Kernel.net ~port:8080);
+  let ep = Netstack.Remote.connect (Machine.remote_nic k.Kernel.machine) ~port:8080 in
+  let conn = Option.get (Netstack.accept k.Kernel.net ~port:8080) in
   Kernel.switch_to k p;
   let tests =
     Test.make_grouped ~name:"vg" ~fmt:"%s %s"
@@ -802,6 +810,13 @@ let bechamel () =
           (Staged.stage (fun () -> ignore (Diskfs.lookup k.Kernel.fs "/d/f100")));
         Test.make ~name:"copyin-10k"
           (Staged.stage (fun () -> ignore (Kmem.read_bytes k.Kernel.kmem user_va ~len:10_000)));
+        Test.make ~name:"copyout-32k"
+          (Staged.stage (fun () -> Kmem.write_bytes k.Kernel.kmem out_va chunk));
+        Test.make ~name:"remote-recv-64k"
+          (Staged.stage (fun () ->
+               ignore (Netstack.send k.Kernel.net ~conn chunk);
+               ignore (Netstack.send k.Kernel.net ~conn chunk);
+               ignore (Netstack.Remote.recv_all_available ep)));
         Test.make ~name:"executor-collatz"
           (Staged.stage (fun () -> ignore (run_image_cycles collatz)));
         Test.make ~name:"executor-recsum"

@@ -9,6 +9,11 @@
 val start : Runtime.ctx -> port:int -> int Errno.result
 (** Bind and listen; returns the listening descriptor. *)
 
+val status_ok : bytes -> bool
+(** Does this raw response carry status [200]?  The one test every
+    client of the server ({!Client.get}, the pool, the event loop, the
+    fleet) applies. *)
+
 val serve_requests : Runtime.ctx -> listen_fd:int -> max:int -> int
 (** Handle up to [max] pending connections (one request each, as
     ApacheBench with HTTP/1.0 does); returns how many were served.

@@ -1,16 +1,9 @@
 let block_bytes = 4096
 let sectors_per_block = block_bytes / Disk.sector_bytes
 
-(* Block numbers hash as themselves: lookups never reach the
-   polymorphic [compare]/[caml_hash].  Iteration order is irrelevant —
-   eviction picks the unique minimum stamp and [sync] writes the same
-   sectors in any order. *)
-module Blocks = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash b = b land max_int
-end)
+(* Blocks live in a [Tbl.Int] table.  Its iteration order is
+   irrelevant: eviction picks the unique minimum stamp and [sync] writes
+   the same sectors in any order. *)
 
 type entry = { data : bytes; mutable dirty : bool; mutable stamp : int }
 
@@ -18,7 +11,7 @@ type t = {
   disk : Disk.t;
   kmem : Kmem.t;
   capacity : int;
-  cache : entry Blocks.t;
+  cache : entry Tbl.Int.t;
   mutable lock : Spinlock.t option;
   mutable tick : int;
   mutable hits : int;
@@ -30,7 +23,7 @@ let create ?(capacity = 1024) ~kmem disk =
     disk;
     kmem;
     capacity;
-    cache = Blocks.create capacity;
+    cache = Tbl.Int.create capacity;
     lock = None;
     tick = 0;
     hits = 0;
@@ -59,10 +52,10 @@ let flush_entry t b entry =
   end
 
 let evict_if_full t =
-  if Blocks.length t.cache >= t.capacity then begin
+  if Tbl.Int.length t.cache >= t.capacity then begin
     (* Evict the least-recently-used block. *)
     let victim = ref None in
-    Blocks.iter
+    Tbl.Int.iter
       (fun b e ->
         match !victim with
         | Some (_, stamp) when stamp <= e.stamp -> ()
@@ -71,9 +64,9 @@ let evict_if_full t =
     match !victim with
     | None -> ()
     | Some (b, _) ->
-        let e = Blocks.find t.cache b in
+        let e = Tbl.Int.find t.cache b in
         flush_entry t b e;
-        Blocks.remove t.cache b
+        Tbl.Int.remove t.cache b
   end
 
 let touch t entry =
@@ -84,7 +77,7 @@ let lookup t b =
   if b < 0 || b >= blocks t then invalid_arg "Buffer_cache: block out of range";
   (* Hash lookup + LRU bookkeeping are kernel memory operations. *)
   Kmem.work t.kmem 25;
-  match Blocks.find_opt t.cache b with
+  match Tbl.Int.find_opt t.cache b with
   | Some entry ->
       t.hits <- t.hits + 1;
       touch t entry;
@@ -95,7 +88,7 @@ let lookup t b =
       let data = Disk.read_range t.disk ~sector:(b * sectors_per_block) ~count:sectors_per_block in
       let entry = { data; dirty = false; stamp = 0 } in
       touch t entry;
-      Blocks.replace t.cache b entry;
+      Tbl.Int.replace t.cache b entry;
       entry
 
 let read t b =
@@ -112,7 +105,7 @@ let overwrite t b fill =
   if b < 0 || b >= blocks t then invalid_arg "Buffer_cache: block out of range";
   Kmem.work t.kmem 25;
   let entry =
-    match Blocks.find_opt t.cache b with
+    match Tbl.Int.find_opt t.cache b with
     | Some entry ->
         t.hits <- t.hits + 1;
         touch t entry;
@@ -122,7 +115,7 @@ let overwrite t b fill =
         evict_if_full t;
         let entry = { data = Bytes.make block_bytes '\000'; dirty = true; stamp = 0 } in
         touch t entry;
-        Blocks.replace t.cache b entry;
+        Tbl.Int.replace t.cache b entry;
         entry
   in
   Machine.charge ~tag:Obs.Tag.Copy (Kmem.machine t.kmem) (Cost.copy_cycles block_bytes);
@@ -147,4 +140,4 @@ let view t b f =
       let entry = lookup t b in
       f entry.data)
 
-let sync t = guarded t (fun () -> Blocks.iter (fun b e -> flush_entry t b e) t.cache)
+let sync t = guarded t (fun () -> Tbl.Int.iter (fun b e -> flush_entry t b e) t.cache)

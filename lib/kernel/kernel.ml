@@ -154,7 +154,9 @@ let current_proc t =
 let switch_to t (proc : Proc.t) =
   let cpu = Machine.cpu t.machine in
   let same_space = t.current.(cpu) = proc.Proc.pid in
-  let live = Sva.running_on t.sva ~cpu = Some proc.Proc.tid in
+  let live =
+    match Sva.running_on t.sva ~cpu with Some tid -> tid = proc.Proc.tid | None -> false
+  in
   if not (same_space && live) then begin
     if not same_space then begin
       Kmem.fn_entry t.kmem;
@@ -224,7 +226,7 @@ let release_frame t f =
 
 let map_user_page t (proc : Proc.t) va =
   let vpage = Int64.shift_right_logical va 12 in
-  if Hashtbl.mem proc.Proc.user_frames vpage then Ok ()
+  if Tbl.Int64.mem proc.Proc.user_frames vpage then Ok ()
   else if not (Layout.in_user va) then Error Errno.EFAULT
   else begin
     match Spinlock.with_lock t.frame_lock (fun () -> Frame_alloc.alloc t.frames) with
@@ -236,7 +238,7 @@ let map_user_page t (proc : Proc.t) va =
         Kmem.work t.kmem 30;
         match Sva.map_page t.sva proc.Proc.pt ~va ~frame ~perm:user_perm with
         | Ok () ->
-            Hashtbl.replace proc.Proc.user_frames vpage frame;
+            Tbl.Int64.replace proc.Proc.user_frames vpage frame;
             Ok ()
         | Error _ ->
             Spinlock.with_lock t.frame_lock (fun () -> Frame_alloc.free t.frames frame);
@@ -246,13 +248,13 @@ let map_user_page t (proc : Proc.t) va =
 (* Resolve a copy-on-write fault: sole owner pages are simply
    re-enabled for writing; shared pages get a private copy. *)
 let resolve_cow t (proc : Proc.t) vpage =
-  match Hashtbl.find_opt proc.Proc.user_frames vpage with
+  match Tbl.Int64.find_opt proc.Proc.user_frames vpage with
   | None -> Error Errno.EFAULT
   | Some frame ->
       let va = Int64.shift_left vpage 12 in
       Kmem.work t.kmem 25;
       if frame_refcount t frame = 1 then begin
-        Hashtbl.remove proc.Proc.cow vpage;
+        Tbl.Int64.remove proc.Proc.cow vpage;
         match Sva.protect_page t.sva proc.Proc.pt ~va ~perm:user_perm with
         | Ok () ->
             Machine.flush_tlb t.machine;
@@ -271,8 +273,8 @@ let resolve_cow t (proc : Proc.t) vpage =
             match Sva.map_page t.sva proc.Proc.pt ~va ~frame:fresh ~perm:user_perm with
             | Ok () ->
                 release_frame t frame;
-                Hashtbl.replace proc.Proc.user_frames vpage fresh;
-                Hashtbl.remove proc.Proc.cow vpage;
+                Tbl.Int64.replace proc.Proc.user_frames vpage fresh;
+                Tbl.Int64.remove proc.Proc.cow vpage;
                 Machine.flush_tlb t.machine;
                 Ok ()
             | Error _ ->
@@ -287,7 +289,7 @@ let resolve_cow_range t proc va ~len =
     let last = Int64.shift_right_logical (Int64.add va (Int64.of_int (len - 1))) 12 in
     let page = ref first in
     while Int64.compare !page last <= 0 do
-      if Hashtbl.mem proc.Proc.cow !page then ignore (resolve_cow t proc !page);
+      if Tbl.Int64.mem proc.Proc.cow !page then ignore (resolve_cow t proc !page);
       page := Int64.add !page 1L
     done
   end
@@ -320,7 +322,7 @@ let handle_page_fault t proc va =
   Machine.charge ~tag:Obs.Tag.Kernel_work t.machine 6000;
   let vpage = Int64.shift_right_logical va 12 in
   let result =
-    if Hashtbl.mem proc.Proc.cow vpage then resolve_cow t proc vpage
+    if Tbl.Int64.mem proc.Proc.cow vpage then resolve_cow t proc vpage
     else map_user_page t proc va
   in
   Sva.return_from_trap t.sva ~tid:proc.Proc.tid;
@@ -330,13 +332,13 @@ let free_user_pages t (proc : Proc.t) =
   (* Batched teardown: one cross-core invalidation for the whole
      address space, not one per page. *)
   let vas =
-    Hashtbl.fold
+    Tbl.Int64.fold
       (fun vpage _ acc -> Int64.shift_left vpage 12 :: acc)
       proc.Proc.user_frames []
   in
   Sva.unmap_pages t.sva proc.Proc.pt ~vas:(List.sort compare vas);
-  Hashtbl.iter (fun _ frame -> release_frame t frame) proc.Proc.user_frames;
-  Hashtbl.reset proc.Proc.user_frames;
-  Hashtbl.reset proc.Proc.cow;
+  Tbl.Int64.iter (fun _ frame -> release_frame t frame) proc.Proc.user_frames;
+  Tbl.Int64.reset proc.Proc.user_frames;
+  Tbl.Int64.reset proc.Proc.cow;
   Machine.flush_tlb t.machine
 

@@ -50,7 +50,14 @@ let fault t what addr =
 let as_kernel t f =
   let saved = Machine.privilege t.machine in
   Machine.set_privilege t.machine Machine.Kernel;
-  Fun.protect ~finally:(fun () -> Machine.set_privilege t.machine saved) f
+  match f () with
+  | v ->
+      Machine.set_privilege t.machine saved;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Machine.set_privilege t.machine saved;
+      Printexc.raise_with_backtrace e bt
 
 let store t addr ~len v =
   let ea = effective t addr in

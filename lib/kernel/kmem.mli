@@ -35,6 +35,10 @@ val create : ?mitigation:Vg_compiler.Mitigation.t -> Sva.t -> t
 
 val machine : t -> Machine.t
 
+val as_kernel : t -> (unit -> 'a) -> 'a
+(** Run at kernel privilege, then restore the caller's privilege level,
+    also when the function raises. *)
+
 val store : t -> int64 -> len:int -> int64 -> unit
 (** Instrumented kernel store. *)
 

@@ -9,22 +9,31 @@ let ty_syn = 0
 let ty_data = 1
 let ty_fin = 2
 
+let header_len = 9
+
 let frame ~ty ~conn ~port payload =
-  let b = Bytes.create (9 + Bytes.length payload) in
+  let b = Bytes.create (header_len + Bytes.length payload) in
   Bytes.set b 0 (Char.chr ty);
   Bytes.set_int32_le b 1 (Int32.of_int conn);
   Bytes.set_int32_le b 5 (Int32.of_int port);
-  Bytes.blit payload 0 b 9 (Bytes.length payload);
+  Bytes.blit payload 0 b header_len (Bytes.length payload);
   b
 
-let parse b =
-  if Bytes.length b < 9 then None
+(* Header fields, read in place from a frame starting at [off] (0 on
+   the harness wire, 4 behind a fabric peer-node header). *)
+let frame_ty b off = Char.code (Bytes.get b off)
+let frame_conn b off = Int32.to_int (Bytes.get_int32_le b (off + 1))
+let frame_port b off = Int32.to_int (Bytes.get_int32_le b (off + 5))
+
+let parse b ~off =
+  let len = Bytes.length b - off - header_len in
+  if len < 0 then None
   else
     Some
-      ( Char.code (Bytes.get b 0),
-        Int32.to_int (Bytes.get_int32_le b 1),
-        Int32.to_int (Bytes.get_int32_le b 5),
-        Bytes.sub b 9 (Bytes.length b - 9) )
+      ( frame_ty b off,
+        frame_conn b off,
+        frame_port b off,
+        Bytes.sub b (off + header_len) len )
 
 type addr = Local of int | Peer of { node : int; port : int }
 
@@ -130,7 +139,7 @@ let poll t =
         (* Interrupt handler + demux are instrumented kernel code. *)
         Kmem.fn_entry t.kmem;
         Kmem.work t.kmem 20;
-        match parse raw with
+        match parse raw ~off:0 with
         | None -> ()
         | Some fr -> deliver t ~link:Wire fr)
   done;
@@ -150,7 +159,7 @@ let poll t =
             Kmem.work t.kmem 20;
             if Bytes.length raw > 4 then begin
               let src = Int32.to_int (Bytes.get_int32_le raw 0) in
-              match parse (Bytes.sub raw 4 (Bytes.length raw - 4)) with
+              match parse raw ~off:4 with
               | None -> ()
               | Some fr -> deliver t ~link:(Fabric_link src) fr
             end
@@ -246,11 +255,13 @@ let close t ~conn =
       Hashtbl.remove t.conns conn
 
 module Remote = struct
+  (* Frames stay raw on this side: headers are read in place and a
+     payload is copied once, into whatever the caller gets back. *)
   type endpoint = {
     nic : Nic.t;
     conn : int;
     port : int;
-    stash : bytes Queue.t; (* frames for us, popped out of order *)
+    stash : bytes Queue.t; (* raw data frames for us, popped out of order *)
   }
 
   let next_conn = ref 1000
@@ -261,9 +272,9 @@ module Remote = struct
      concurrent connections interleave their frames arbitrarily. *)
   let by_conn : (int, endpoint) Hashtbl.t = Hashtbl.create 32
 
-  let stash_for ~conn payload =
+  let stash_for ~conn raw =
     match Hashtbl.find_opt by_conn conn with
-    | Some other -> Queue.push payload other.stash
+    | Some other -> Queue.push raw other.stash
     | None -> () (* connection closed: drop *)
 
   let connect nic ~port =
@@ -277,43 +288,61 @@ module Remote = struct
   let rec accept nic =
     match Nic.receive nic with
     | None -> None
-    | Some raw -> (
-        match parse raw with
-        | Some (ty, conn, port, _) when ty = ty_syn ->
-            let ep = { nic; conn; port; stash = Queue.create () } in
-            Hashtbl.replace by_conn conn ep;
-            Some ep
-        | Some (ty, conn, _, payload) when ty = ty_data ->
-            stash_for ~conn payload;
-            accept nic
-        | _ -> accept nic (* stale FIN from a closed connection *))
+    | Some raw when Bytes.length raw < header_len -> accept nic
+    | Some raw ->
+        let ty = frame_ty raw 0 and conn = frame_conn raw 0 in
+        if ty = ty_syn then begin
+          let ep = { nic; conn; port = frame_port raw 0; stash = Queue.create () } in
+          Hashtbl.replace by_conn conn ep;
+          Some ep
+        end
+        else begin
+          if ty = ty_data then stash_for ~conn raw;
+          (* otherwise a stale FIN from a closed connection *)
+          accept nic
+        end
 
   let send ep payload = Nic.transmit ep.nic (frame ~ty:ty_data ~conn:ep.conn ~port:ep.port payload)
 
-  let rec recv ep =
+  (* The next raw data frame for [ep]; its payload starts at
+     [header_len]. *)
+  let rec recv_raw ep =
     if not (Queue.is_empty ep.stash) then Some (Queue.pop ep.stash)
     else begin
       match Nic.receive ep.nic with
       | None -> None
-      | Some raw -> (
-          match parse raw with
-          | Some (ty, conn, _, payload) when conn = ep.conn && ty = ty_data -> Some payload
-          | Some (ty, conn, _, payload) when ty = ty_data ->
-              (* a sibling's frame: deliver to its stash, keep looking *)
-              stash_for ~conn payload;
-              recv ep
-          | _ -> recv ep)
+      | Some raw when Bytes.length raw < header_len || frame_ty raw 0 <> ty_data ->
+          recv_raw ep
+      | Some raw ->
+          let conn = frame_conn raw 0 in
+          if conn = ep.conn then Some raw
+          else begin
+            (* a sibling's frame: deliver to its stash, keep looking *)
+            stash_for ~conn raw;
+            recv_raw ep
+          end
     end
 
+  let payload raw = Bytes.sub raw header_len (Bytes.length raw - header_len)
+  let recv ep = Option.map payload (recv_raw ep)
+
   let recv_all_available ep =
-    let out = Buffer.create 4096 in
-    let continue = ref true in
-    while !continue do
-      match recv ep with
-      | Some b -> Buffer.add_bytes out b
-      | None -> continue := false
-    done;
-    Buffer.to_bytes out
+    let rec gather frames total =
+      match recv_raw ep with
+      | Some raw -> gather (raw :: frames) (total + Bytes.length raw - header_len)
+      | None -> (frames, total)
+    in
+    let frames, total = gather [] 0 in
+    let out = Bytes.create total in
+    (* [frames] is newest first: fill [out] from the end. *)
+    ignore
+      (List.fold_left
+         (fun stop raw ->
+           let n = Bytes.length raw - header_len in
+           Bytes.blit raw header_len out (stop - n) n;
+           stop - n)
+         total frames);
+    out
 
   let close ep =
     Hashtbl.remove by_conn ep.conn;

@@ -107,5 +107,8 @@ module Remote : sig
   (** Pop the next data frame payload, if any ([None] = nothing yet). *)
 
   val recv_all_available : endpoint -> bytes
+  (** Every data payload queued for this endpoint, in arrival order, in
+      one buffer (each payload is copied once); empty when none. *)
+
   val close : endpoint -> unit
 end

@@ -13,17 +13,17 @@ type t = {
   mutable parent : int;
   pt : Pagetable.t;
   tid : int;
-  fds : (int, fd_kind) Hashtbl.t;
+  fds : fd_kind Tbl.Int.t;
   mutable next_fd : int;
-  user_frames : (int64, int) Hashtbl.t;
-  cow : (int64, unit) Hashtbl.t;
+  user_frames : int Tbl.Int64.t;
+  cow : unit Tbl.Int64.t;
   mutable ghost_regions : (int64 * int) list;
   mutable mmap_cursor : int64;
   mutable state : state;
   signal_handlers : (int, int64) Hashtbl.t;
   code_map : (int64, int64 -> unit) Hashtbl.t;
   mutable image : Appimage.t option;
-  blocking : (int, unit) Hashtbl.t;
+  blocking : unit Tbl.Int.t;
   mutable policy : Syscall_policy.t option;
 }
 
@@ -33,34 +33,34 @@ let make ~pid ~parent ~pt ~tid =
     parent;
     pt;
     tid;
-    fds = Hashtbl.create 16;
+    fds = Tbl.Int.create 16;
     next_fd = 3;
-    user_frames = Hashtbl.create 64;
-    cow = Hashtbl.create 16;
+    user_frames = Tbl.Int64.create 64;
+    cow = Tbl.Int64.create 16;
     ghost_regions = [];
     mmap_cursor = 0x0000_2000_0000_0000L;
     state = Running;
     signal_handlers = Hashtbl.create 8;
     code_map = Hashtbl.create 8;
     image = None;
-    blocking = Hashtbl.create 4;
+    blocking = Tbl.Int.create 4;
     policy = None;
   }
 
 let add_fd t kind =
   let fd = t.next_fd in
   t.next_fd <- fd + 1;
-  Hashtbl.replace t.fds fd kind;
+  Tbl.Int.replace t.fds fd kind;
   fd
 
-let find_fd t fd = Hashtbl.find_opt t.fds fd
+let find_fd t fd = Tbl.Int.find_opt t.fds fd
 
 let remove_fd t fd =
-  Hashtbl.remove t.fds fd;
-  Hashtbl.remove t.blocking fd
+  Tbl.Int.remove t.fds fd;
+  Tbl.Int.remove t.blocking fd
 
 let set_blocking t fd on =
-  if on then Hashtbl.replace t.blocking fd () else Hashtbl.remove t.blocking fd
+  if on then Tbl.Int.replace t.blocking fd () else Tbl.Int.remove t.blocking fd
 
-let is_blocking t fd = Hashtbl.mem t.blocking fd
+let is_blocking t fd = Tbl.Int.mem t.blocking fd
 let is_zombie t = match t.state with Zombie _ -> true | Running -> false

@@ -24,17 +24,17 @@ type t = {
   mutable parent : int;
   pt : Pagetable.t;
   tid : int;
-  fds : (int, fd_kind) Hashtbl.t;
+  fds : fd_kind Tbl.Int.t;
   mutable next_fd : int;
-  user_frames : (int64, int) Hashtbl.t;  (** user vpage -> frame *)
-  cow : (int64, unit) Hashtbl.t;  (** vpages shared copy-on-write *)
+  user_frames : int Tbl.Int64.t;  (** user vpage -> frame *)
+  cow : unit Tbl.Int64.t;  (** vpages shared copy-on-write *)
   mutable ghost_regions : (int64 * int) list;  (** base va, page count *)
   mutable mmap_cursor : int64;
   mutable state : state;
   signal_handlers : (int, int64) Hashtbl.t;  (** signum -> handler pc *)
   code_map : (int64, int64 -> unit) Hashtbl.t;
   mutable image : Appimage.t option;
-  blocking : (int, unit) Hashtbl.t;  (** fds opted into blocking I/O *)
+  blocking : unit Tbl.Int.t;  (** fds opted into blocking I/O *)
   mutable policy : Syscall_policy.t option;
       (** syscall-flow-integrity state; [None] = unprofiled (no checks,
           no cycle charges).  Installed by [execve] from the signed
@@ -44,7 +44,8 @@ type t = {
 val make : pid:int -> parent:int -> pt:Pagetable.t -> tid:int -> t
 
 val add_fd : t -> fd_kind -> int
-(** Install a descriptor at the lowest free number. *)
+(** Install a descriptor at [next_fd] and advance it: numbers are handed
+    out monotonically and never reused, even after {!remove_fd}. *)
 
 val find_fd : t -> int -> fd_kind option
 val remove_fd : t -> int -> unit

@@ -15,7 +15,7 @@
 type t = {
   machine : Machine.t;
   name : string;
-  mutable owner : int option; (* cpu currently inside the critical section *)
+  mutable owner : int; (* cpu inside the critical section; -1 when free *)
   mutable last_cpu : int; (* cache-line home; -1 until first acquire *)
   mutable acquisitions : int;
   mutable transfers : int;
@@ -24,43 +24,46 @@ type t = {
 exception Error of string
 
 let create machine ~name =
-  { machine; name; owner = None; last_cpu = -1; acquisitions = 0; transfers = 0 }
+  { machine; name; owner = -1; last_cpu = -1; acquisitions = 0; transfers = 0 }
 
-let holder t = t.owner
-let held_by_current t = t.owner = Some (Machine.cpu t.machine)
+let holder t = if t.owner < 0 then None else Some t.owner
+let held_by_current t = t.owner = Machine.cpu t.machine
 let transfers t = t.transfers
 
 let acquire t =
   let cpu = Machine.cpu t.machine in
-  (match t.owner with
-  | Some o ->
-      raise
-        (Error
-           (Printf.sprintf "spinlock %s: cpu%d acquire while held by cpu%d" t.name
-              cpu o))
-  | None -> ());
+  if t.owner >= 0 then
+    raise
+      (Error
+         (Printf.sprintf "spinlock %s: cpu%d acquire while held by cpu%d" t.name cpu
+            t.owner));
   if Machine.cpus t.machine > 1 && t.last_cpu >= 0 && t.last_cpu <> cpu then begin
     Machine.charge ~tag:Obs.Tag.Lock t.machine Cost.lock_transfer;
     t.transfers <- t.transfers + 1;
     Machine.emit t.machine
       (Obs.Event.Lock_contend { name = t.name; cpu; last_cpu = t.last_cpu })
   end;
-  t.owner <- Some cpu;
+  t.owner <- cpu;
   t.last_cpu <- cpu;
   t.acquisitions <- t.acquisitions + 1
 
 let release t =
   let cpu = Machine.cpu t.machine in
-  match t.owner with
-  | Some o when o = cpu -> t.owner <- None
-  | Some o ->
-      raise
-        (Error
-           (Printf.sprintf "spinlock %s: cpu%d released a lock held by cpu%d" t.name
-              cpu o))
-  | None ->
-      raise (Error (Printf.sprintf "spinlock %s: cpu%d released an unheld lock" t.name cpu))
+  if t.owner = cpu then t.owner <- -1
+  else if t.owner >= 0 then
+    raise
+      (Error
+         (Printf.sprintf "spinlock %s: cpu%d released a lock held by cpu%d" t.name cpu
+            t.owner))
+  else raise (Error (Printf.sprintf "spinlock %s: cpu%d released an unheld lock" t.name cpu))
 
 let with_lock t f =
   acquire t;
-  Fun.protect ~finally:(fun () -> release t) f
+  match f () with
+  | v ->
+      release t;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release t;
+      Printexc.raise_with_backtrace e bt

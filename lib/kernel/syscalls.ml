@@ -181,7 +181,7 @@ let dup2_body k proc ~src ~dst =
       | Proc.Pipe_read p -> Pipe_dev.add_reader p
       | Proc.Pipe_write p -> Pipe_dev.add_writer p
       | Proc.File _ | Proc.Sock_listen _ | Proc.Sock_conn _ | Proc.Console_out -> ());
-      Hashtbl.replace proc.Proc.fds dst kind;
+      Tbl.Int.replace proc.Proc.fds dst kind;
       if dst >= proc.Proc.next_fd then proc.Proc.next_fd <- dst + 1;
       Ok ()
 
@@ -238,14 +238,14 @@ let munmap_body k proc ~addr ~len =
   let pages = (len + 4095) / 4096 in
   for i = 0 to pages - 1 do
     let vpage = Int64.add first (Int64.of_int i) in
-    match Hashtbl.find_opt proc.Proc.user_frames vpage with
+    match Tbl.Int64.find_opt proc.Proc.user_frames vpage with
     | None -> ()
     | Some frame ->
         (match Sva.unmap_page k.Kernel.sva proc.Proc.pt ~va:(Int64.shift_left vpage 12) with
         | Ok () | Error _ -> ());
         Kernel.release_frame k frame;
-        Hashtbl.remove proc.Proc.user_frames vpage;
-        Hashtbl.remove proc.Proc.cow vpage
+        Tbl.Int64.remove proc.Proc.user_frames vpage;
+        Tbl.Int64.remove proc.Proc.cow vpage
   done;
   Machine.flush_tlb k.Kernel.machine;
   Ok ()
@@ -749,7 +749,7 @@ let fork k proc =
             (* Share the traditional user address space copy-on-write:
                both sides' PTEs drop to read-only; the first write to a
                shared page copies it (handle_page_fault). *)
-            Hashtbl.iter
+            Tbl.Int64.iter
               (fun vpage frame ->
                 let va = Int64.shift_left vpage 12 in
                 Kmem.work k.Kernel.kmem 40;
@@ -760,22 +760,22 @@ let fork k proc =
                    Sva.map_page k.Kernel.sva child.Proc.pt ~va ~frame ~perm:Kernel.user_ro
                  with
                 | Ok () ->
-                    Hashtbl.replace child.Proc.user_frames vpage frame;
-                    Hashtbl.replace proc.Proc.cow vpage ();
-                    Hashtbl.replace child.Proc.cow vpage ()
+                    Tbl.Int64.replace child.Proc.user_frames vpage frame;
+                    Tbl.Int64.replace proc.Proc.cow vpage ();
+                    Tbl.Int64.replace child.Proc.cow vpage ()
                 | Error _ -> raise Fork_out_of_memory))
               proc.Proc.user_frames;
             Machine.flush_tlb k.Kernel.machine;
             (* Descriptors are shared objects; reference counts track
                pipe endpoints. *)
-            Hashtbl.iter
+            Tbl.Int.iter
               (fun fd kind ->
                 (match kind with
                 | Proc.Pipe_read p -> Pipe_dev.add_reader p
                 | Proc.Pipe_write p -> Pipe_dev.add_writer p
                 | Proc.File _ | Proc.Sock_listen _ | Proc.Sock_conn _ | Proc.Console_out
                   -> ());
-                Hashtbl.replace child.Proc.fds fd kind)
+                Tbl.Int.replace child.Proc.fds fd kind)
               proc.Proc.fds;
             child.Proc.next_fd <- proc.Proc.next_fd;
             Hashtbl.iter
@@ -847,7 +847,7 @@ let exit_ k proc status =
       Kmem.fn_entry k.Kernel.kmem;
       Kmem.work k.Kernel.kmem 300;
       (* Close descriptors. *)
-      Hashtbl.iter
+      Tbl.Int.iter
         (fun _ kind ->
           match kind with
           | Proc.Pipe_read p -> Pipe_dev.drop_reader p
@@ -855,7 +855,7 @@ let exit_ k proc status =
           | Proc.Sock_conn conn -> Netstack.close k.Kernel.net ~conn
           | Proc.File _ | Proc.Sock_listen _ | Proc.Console_out -> ())
         proc.Proc.fds;
-      Hashtbl.reset proc.Proc.fds;
+      Tbl.Int.reset proc.Proc.fds;
       (* Release ghost memory through the VM (swapped-out pages of the
          regions are invalidated rather than returned), then drop any
          blobs the process left in the swap store. *)
@@ -1002,7 +1002,7 @@ let register_builtin_externs (k : Kernel.t) =
 let policy_kill k (proc : Proc.t) =
   if not (Proc.is_zombie proc) then begin
     Kmem.work k.Kernel.kmem 300;
-    Hashtbl.iter
+    Tbl.Int.iter
       (fun _ kind ->
         match kind with
         | Proc.Pipe_read p -> Pipe_dev.drop_reader p
@@ -1010,7 +1010,7 @@ let policy_kill k (proc : Proc.t) =
         | Proc.Sock_conn conn -> Netstack.close k.Kernel.net ~conn
         | Proc.File _ | Proc.Sock_listen _ | Proc.Console_out -> ())
       proc.Proc.fds;
-    Hashtbl.reset proc.Proc.fds;
+    Tbl.Int.reset proc.Proc.fds;
     List.iter
       (fun (va, pages) ->
         match

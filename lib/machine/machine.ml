@@ -3,15 +3,6 @@ type access = Read | Write | Exec
 
 exception Page_fault of { va : int64; access : access; present : bool }
 
-(* Virtual page numbers hash as their low bits: no polymorphic
-   [compare]/[caml_hash] on the translation path. *)
-module Tlb = Hashtbl.Make (struct
-  type t = int64
-
-  let equal = Int64.equal
-  let hash v = Int64.to_int v land max_int
-end)
-
 (* One CPU core: its own privilege level, cycle clock, TLB, installed
    address space and local-APIC timer.  The simulator runs cores one at
    a time (see [switch_core]); parallelism is modelled by each core
@@ -22,7 +13,7 @@ type core = {
   mutable privilege : privilege;
   mutable cycles : int;
   (* TLB: vpage -> pte, invalidated wholesale on context switch. *)
-  tlb : Pagetable.pte Tlb.t;
+  tlb : Pagetable.pte Tbl.Int64.t;
   mutable current_pt : Pagetable.t;
   mutable timer_period : int; (* 0 = disarmed *)
   mutable timer_deadline : int;
@@ -95,7 +86,7 @@ let make_core id =
     id;
     privilege = Kernel;
     cycles = 0;
-    tlb = Tlb.create 512;
+    tlb = Tbl.Int64.create 512;
     current_pt = Pagetable.create ();
     timer_period = 0;
     timer_deadline = 0;
@@ -141,7 +132,7 @@ let privilege t = (core t).privilege
 let set_privilege t p = (core t).privilege <- p
 let kernel_pt t = t.kernel_pt
 let current_pt t = (core t).current_pt
-let flush_tlb t = Tlb.reset (core t).tlb
+let flush_tlb t = Tbl.Int64.reset (core t).tlb
 
 let set_current_pt t pt =
   let c = core t in
@@ -163,7 +154,7 @@ let tlb_shootdown t =
       (fun c ->
         if c.id <> sender.id then begin
           charge ~tag:Obs.Tag.Ipi t Cost.ipi_send;
-          Tlb.reset c.tlb;
+          Tbl.Int64.reset c.tlb;
           c.cycles <- c.cycles + Cost.ipi_deliver;
           if Obs.is_armed t.obs then
             Obs.charge t.obs ~cycles:c.cycles Obs.Tag.Ipi Cost.ipi_deliver;
@@ -217,14 +208,14 @@ let table_for t va =
 let lookup_pte t va =
   let c = core t in
   let vpage = Int64.shift_right_logical va 12 in
-  match Tlb.find_opt c.tlb vpage with
+  match Tbl.Int64.find_opt c.tlb vpage with
   | Some pte -> pte
   | None -> (
       charge ~tag:Obs.Tag.Tlb t Cost.tlb_miss;
       match Pagetable.lookup (table_for t va) ~vpage with
       | None -> raise (Page_fault { va; access = Read; present = false })
       | Some pte ->
-          Tlb.replace c.tlb vpage pte;
+          Tbl.Int64.replace c.tlb vpage pte;
           pte)
 
 let check_access t access va (pte : Pagetable.pte) =

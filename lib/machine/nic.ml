@@ -23,6 +23,6 @@ let transmit t frame =
       let packets = max 1 ((len + mtu - 1) / mtu) in
       t.charge ((len * Cost.nic_per_byte) + (packets * Cost.nic_per_packet));
       t.tx_bytes <- t.tx_bytes + len;
-      Queue.add (Bytes.copy frame) peer.rx
+      Queue.add frame peer.rx
 
 let receive t = if Queue.is_empty t.rx then None else Some (Queue.pop t.rx)

@@ -14,7 +14,12 @@ val pair : ?charge:(int -> unit) -> unit -> t * t
     time to the same account (the simulated machine's clock). *)
 
 val transmit : t -> bytes -> unit
-(** Send a datagram to the peer. *)
+(** Send a datagram to the peer.  The NIC takes ownership of the frame:
+    it is queued as is, not copied, so the caller must not touch it
+    afterwards — transmit a freshly built frame, or one just popped
+    with {!receive}. *)
 
 val receive : t -> bytes option
-(** Pop the oldest pending datagram, if any. *)
+(** Pop the oldest pending datagram, if any.  The caller owns the
+    frame it gets: nothing else refers to it any more, so it may be
+    read in place, rewritten or forwarded. *)

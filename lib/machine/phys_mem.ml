@@ -1,30 +1,21 @@
 let frame_bytes = 4096
 
-(* Frame numbers are small dense ints: hash them as themselves so a
-   lookup never reaches the polymorphic [compare]/[caml_hash]. *)
-module Frames = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash i = i land max_int
-end)
-
-type t = { nframes : int; frames : bytes Frames.t }
+type t = { nframes : int; frames : bytes Tbl.Int.t }
 
 exception Bad_physical_address of int64
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: need at least one frame";
-  { nframes = frames; frames = Frames.create 1024 }
+  { nframes = frames; frames = Tbl.Int.create 1024 }
 
 let frames t = t.nframes
 
 let frame_of t i =
-  match Frames.find_opt t.frames i with
+  match Tbl.Int.find_opt t.frames i with
   | Some b -> b
   | None ->
       let b = Bytes.make frame_bytes '\000' in
-      Frames.replace t.frames i b;
+      Tbl.Int.replace t.frames i b;
       b
 
 let locate t addr len =
@@ -91,6 +82,6 @@ let write_bytes t ~addr src = blit_from t ~addr src ~off:0 ~len:(Bytes.length sr
 let zero_frame t i =
   if i < 0 || i >= t.nframes then
     raise (Bad_physical_address (Int64.of_int (i * frame_bytes)));
-  Frames.remove t.frames i
+  Tbl.Int.remove t.frames i
 
-let frame_is_allocated t i = Frames.mem t.frames i
+let frame_is_allocated t i = Tbl.Int.mem t.frames i

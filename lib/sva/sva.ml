@@ -44,9 +44,9 @@ type t = {
   machine : Machine.t;
   mode : mode;
   percpu : percpu array;
-  uses : (int, frame_use) Hashtbl.t;
+  uses : frame_use Tbl.Int.t;
   mutable address_spaces : (Pagetable.t * int) list;
-  threads : (int, thread) Hashtbl.t;
+  threads : thread Tbl.Int.t;
   mutable next_tid : int;
   mutable free_slots : int list;
   mutable next_slot : int;
@@ -71,8 +71,8 @@ type t = {
 let mode t = t.mode
 let machine t = t.machine
 let translation_cache t = t.trans_cache
-let frame_use t frame = Option.value ~default:Kernel_managed (Hashtbl.find_opt t.uses frame)
-let set_code_frame t frame = Hashtbl.replace t.uses frame Code_frame
+let frame_use t frame = Option.value ~default:Kernel_managed (Tbl.Int.find_opt t.uses frame)
+let set_code_frame t frame = Tbl.Int.replace t.uses frame Code_frame
 let iommu_config_port = 0xfee0L
 
 (* Number of frames reserved for SVA-internal memory (1 MiB): interrupt
@@ -92,7 +92,7 @@ let boot ?(vg_key_bits = 256) ~mode machine =
   let drbg =
     Vg_crypto.Drbg.create ~seed:(Bytes.cat storage_key (Machine.hw_random machine 32))
   in
-  let uses = Hashtbl.create 1024 in
+  let uses = Tbl.Int.create 1024 in
   (* Reserve the top of physical memory for SVA-internal data and map
      it at the SVA virtual range in the shared kernel page table. *)
   let phys_frames = Phys_mem.frames (Machine.mem machine) in
@@ -101,7 +101,7 @@ let boot ?(vg_key_bits = 256) ~mode machine =
   for i = 0 to sva_frames - 1 do
     let frame = !top_frame in
     decr top_frame;
-    Hashtbl.replace uses frame Sva_internal;
+    Tbl.Int.replace uses frame Sva_internal;
     Pagetable.map kpt
       ~vpage:(Int64.add (Int64.shift_right_logical Layout.sva_start 12) (Int64.of_int i))
       { Pagetable.frame; perm = kernel_perm }
@@ -149,7 +149,7 @@ let boot ?(vg_key_bits = 256) ~mode machine =
       percpu;
       uses;
       address_spaces = [];
-      threads = Hashtbl.create 64;
+      threads = Tbl.Int.create 64;
       next_tid = 1;
       free_slots = [];
       next_slot = 0;
@@ -369,7 +369,14 @@ let ensure_mirror_mapped t slot =
 let with_kernel_privilege t f =
   let saved = Machine.privilege t.machine in
   Machine.set_privilege t.machine Machine.Kernel;
-  Fun.protect ~finally:(fun () -> Machine.set_privilege t.machine saved) f
+  match f () with
+  | v ->
+      Machine.set_privilege t.machine saved;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Machine.set_privilege t.machine saved;
+      Printexc.raise_with_backtrace e bt
 
 let write_mirror t thread =
   with_kernel_privilege t (fun () ->
@@ -381,7 +388,7 @@ let read_mirror t thread =
         (Machine.read_bytes_virt t.machine thread.mirror_va ~len:Icontext.byte_size))
 
 let find_thread t tid =
-  match Hashtbl.find_opt t.threads tid with
+  match Tbl.Int.find_opt t.threads tid with
   | Some thread -> thread
   | None -> raise Not_found
 
@@ -400,7 +407,7 @@ let new_thread t ~pid ~entry ~stack =
       mirror_slot = slot;
     }
   in
-  Hashtbl.replace t.threads tid thread;
+  Tbl.Int.replace t.threads tid thread;
   write_mirror t thread;
   tid
 
@@ -420,15 +427,15 @@ let clone_thread t ~tid ~new_pid =
       mirror_slot = slot;
     }
   in
-  Hashtbl.replace t.threads ntid thread;
+  Tbl.Int.replace t.threads ntid thread;
   write_mirror t thread;
   ntid
 
 let free_thread t ~tid =
-  match Hashtbl.find_opt t.threads tid with
+  match Tbl.Int.find_opt t.threads tid with
   | None -> ()
   | Some thread ->
-      Hashtbl.remove t.threads tid;
+      Tbl.Int.remove t.threads tid;
       t.free_slots <- thread.mirror_slot :: t.free_slots
 
 let refresh_from_mirror t thread =
@@ -491,7 +498,7 @@ let return_from_trap t ~tid =
 let swap_integer t ~tid =
   let cpu = Machine.cpu t.machine in
   let pc = t.percpu.(cpu) in
-  match Hashtbl.find_opt t.threads tid with
+  match Tbl.Int.find_opt t.threads tid with
   | None -> Error (Printf.sprintf "sva.swap.integer: no thread %d" tid)
   | Some _ ->
       let live_elsewhere =
@@ -572,7 +579,7 @@ let reinit_icontext t ~tid ~pt ~image ~stack =
           Pagetable.unmap pt ~vpage;
           Phys_mem.zero_frame (Machine.mem t.machine) frame;
           Machine.charge ~tag:Obs.Tag.Zero t.machine Cost.zero_page;
-          Hashtbl.remove t.uses frame;
+          Tbl.Int.remove t.uses frame;
           freed := frame :: !freed)
         !ghost_vpages;
       Machine.flush_tlb t.machine;
@@ -716,7 +723,7 @@ let allocgm t ~pid ~pt ~va ~frames =
             (fun i frame ->
               Phys_mem.zero_frame (Machine.mem t.machine) frame;
               Machine.charge ~tag:Obs.Tag.Zero t.machine Cost.zero_page;
-              Hashtbl.replace t.uses frame (Ghost_frame pid);
+              Tbl.Int.replace t.uses frame (Ghost_frame pid);
               Pagetable.map pt
                 ~vpage:(Int64.add (Int64.shift_right_logical va 12) (Int64.of_int i))
                 {
@@ -769,7 +776,7 @@ let freegm t ~pid ~pt ~va ~count =
                          (Int64.add (Int64.shift_right_logical va 12) (Int64.of_int i));
                      Phys_mem.zero_frame (Machine.mem t.machine) frame;
                      Machine.charge ~tag:Obs.Tag.Zero t.machine Cost.zero_page;
-                     Hashtbl.remove t.uses frame;
+                     Tbl.Int.remove t.uses frame;
                      [ frame ]
                  | `Swapped page_va ->
                      Hashtbl.remove t.swap_versions (pid, page_va);
@@ -823,7 +830,7 @@ let swap_refuse t ~pid ~va detail =
 let map_ghost_page t ~pid ~pt ~va ~frame plain =
   let phys = Int64.shift_left (Int64.of_int frame) 12 in
   Phys_mem.write_bytes (Machine.mem t.machine) ~addr:phys plain;
-  Hashtbl.replace t.uses frame (Ghost_frame pid);
+  Tbl.Int.replace t.uses frame (Ghost_frame pid);
   Pagetable.map pt
     ~vpage:(Int64.shift_right_logical va 12)
     { Pagetable.frame; perm = { writable = true; user = true; executable = true } }
@@ -857,7 +864,7 @@ let swap_out_ghost t ~pid ~pt ~va =
       Pagetable.unmap pt ~vpage:(Int64.shift_right_logical va 12);
       Phys_mem.zero_frame (Machine.mem t.machine) frame;
       Machine.charge ~tag:Obs.Tag.Zero t.machine Cost.zero_page;
-      Hashtbl.remove t.uses frame;
+      Tbl.Int.remove t.uses frame;
       (* The owner may be live on another core with this translation
          cached — its frame is about to be recycled, so every core's
          TLB must drop it, not just the evicting core's. *)

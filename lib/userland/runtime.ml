@@ -25,7 +25,14 @@ let as_user ctx f =
   Kernel.switch_to ctx.kernel ctx.proc;
   let machine = ctx.kernel.Kernel.machine in
   Machine.set_privilege machine Machine.User;
-  Fun.protect ~finally:(fun () -> Machine.set_privilege machine Machine.Kernel) f
+  match f () with
+  | v ->
+      Machine.set_privilege machine Machine.Kernel;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Machine.set_privilege machine Machine.Kernel;
+      Printexc.raise_with_backtrace e bt
 
 (* Fault resolution: ghost addresses may be swapped out (brought back
    through the VM's sealed path); ordinary user addresses demand-page

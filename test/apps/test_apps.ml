@@ -24,6 +24,23 @@ let test_launch_and_memory () =
       Alcotest.(check string) "round trip" "hello user memory"
         (Bytes.to_string (Runtime.peek ctx va 17)))
 
+(* A user access the kernel cannot service crashes the app and leaves
+   the CPU at the privilege level it had before the access. *)
+let test_peek_poke_restore_privilege () =
+  let k = boot () in
+  let m = k.Kernel.machine in
+  Runtime.launch k ~ghosting:false (fun ctx ->
+      let kernel_va = Layout.kernel_data_start in
+      let crashes f =
+        let saved = Machine.privilege m in
+        match f () with
+        | _ -> Alcotest.fail "kernel address serviced for the user"
+        | exception Runtime.App_crash _ ->
+            Alcotest.(check bool) "privilege restored" true (Machine.privilege m = saved)
+      in
+      crashes (fun () -> Runtime.peek ctx kernel_va 8);
+      crashes (fun () -> Runtime.poke ctx kernel_va (Bytes.make 8 'x')))
+
 let test_ghost_heap_placement () =
   let k = boot () in
   Runtime.launch k ~ghosting:true (fun ctx ->
@@ -391,6 +408,35 @@ let test_httpd_404 () =
       with
       | Some _ -> Alcotest.fail "expected failure"
       | None -> ())
+
+(* Only the first blank line ends the header: a body that contains
+   one comes back whole. *)
+let test_httpd_body_with_blank_line () =
+  let k = boot () in
+  let body = Bytes.of_string "top\r\n\r\nmiddle\r\n\r\n\r\nbottom" in
+  make_file k "/crlf.txt" body;
+  Runtime.launch k ~ghosting:false (fun ctx ->
+      let listen_fd = expect_ok "listen" (Httpd.start ctx ~port:80) in
+      match
+        Httpd.Client.get k.Kernel.machine ~port:80 ~path:"/crlf.txt" (fun () ->
+            ignore (Httpd.serve_requests ctx ~listen_fd ~max:1))
+      with
+      | Some got -> Alcotest.(check bytes) "body" body got
+      | None -> Alcotest.fail "request failed")
+
+(* A response too short to hold a status code is a failure, not a
+   crash. *)
+let test_httpd_short_response () =
+  let k = boot () in
+  Runtime.launch k ~ghosting:false (fun ctx ->
+      let listen_fd = expect_ok "listen" (Httpd.start ctx ~port:80) in
+      let answer () =
+        let fd = expect_ok "accept" (Syscalls.accept k ctx.Runtime.proc ~fd:listen_fd) in
+        ignore (expect_ok "write" (Runtime.write_string ctx ~fd "HTTP/1.0 2"));
+        ignore (Runtime.sys_close ctx fd)
+      in
+      Alcotest.(check (option bytes)) "short response" None
+        (Httpd.Client.get k.Kernel.machine ~port:80 ~path:"/x" answer))
 
 (* ------------------------------------------------------------------ *)
 (* sshd / ssh transfers                                                *)
@@ -829,6 +875,8 @@ let () =
       ( "runtime",
         [
           Alcotest.test_case "launch + memory" `Quick test_launch_and_memory;
+          Alcotest.test_case "peek/poke restore privilege" `Quick
+            test_peek_poke_restore_privilege;
           Alcotest.test_case "ghost heap placement" `Quick test_ghost_heap_placement;
           Alcotest.test_case "ghost heap grows" `Quick test_ghost_heap_grows;
           Alcotest.test_case "wrapper ghost file io" `Quick test_wrapper_ghost_file_io;
@@ -859,6 +907,9 @@ let () =
         [
           Alcotest.test_case "serves file" `Quick test_httpd_serves_file;
           Alcotest.test_case "404" `Quick test_httpd_404;
+          Alcotest.test_case "body with blank line" `Quick
+            test_httpd_body_with_blank_line;
+          Alcotest.test_case "short response" `Quick test_httpd_short_response;
         ] );
       ( "ssh-transfer",
         [

@@ -136,6 +136,29 @@ let test_fabric_echo () =
   Alcotest.(check string) "server got" "hello-fabric" !got;
   Alcotest.(check string) "client echoed" "echo:hello-fabric" !echoed
 
+(* The switch forwards the very frame it popped, with the peer-node
+   header rewritten from the destination to the source.  Three nodes,
+   so a header left unrewritten would send node 2's answer to itself
+   rather than back to node 0. *)
+let test_pump_rewrites_source () =
+  let fleet = Fleet.create ~nodes:3 (small_config ~seed:"pump") in
+  let n0 = Node.net (Fleet.node fleet 0) and n2 = Node.net (Fleet.node fleet 2) in
+  ignore (expect_ok "listen" (Netstack.listen n2 ~port:7002));
+  let conn = expect_ok "connect" (Netstack.connect_to n0 (Netstack.Peer { node = 2; port = 7002 })) in
+  let served =
+    match Netstack.accept n2 ~port:7002 with
+    | Some c -> c
+    | None -> Alcotest.fail "SYN not forwarded"
+  in
+  let request = Bytes.init 3000 (fun i -> Char.chr (i * 7 mod 256)) in
+  ignore (expect_ok "send" (Netstack.send n0 ~conn request));
+  Alcotest.(check bytes) "payload intact at node 2" request
+    (expect_ok "recv" (Netstack.recv n2 ~conn:served 65536));
+  let reply = Bytes.of_string "from node 2" in
+  ignore (expect_ok "reply" (Netstack.send n2 ~conn:served reply));
+  Alcotest.(check bytes) "reply routed to the source" reply
+    (expect_ok "recv reply" (Netstack.recv n0 ~conn 65536))
+
 let test_fabric_fifo () =
   let fleet = Fleet.create ~nodes:2 (small_config ~seed:"fifo") in
   let k0 = Node.kernel (Fleet.node fleet 0)
@@ -458,6 +481,7 @@ let () =
         [
           Alcotest.test_case "echo" `Quick test_fabric_echo;
           Alcotest.test_case "fifo" `Quick test_fabric_fifo;
+          Alcotest.test_case "pump-rewrites-source" `Quick test_pump_rewrites_source;
           Alcotest.test_case "no-fabric-refused" `Quick
             test_peer_without_fabric_refused;
         ] );

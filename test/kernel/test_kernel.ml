@@ -602,6 +602,28 @@ let test_kmem_copy_across_hole () =
       Alcotest.(check int) (what ^ " mask cycles") 21 (cycles stats Vg_obs.Obs.Tag.Mask))
     [ ("read", read); ("write", write) ]
 
+exception Escaped
+
+(* Kernel accesses leave the privilege level as they found it, even when
+   the access raises. *)
+let test_kmem_as_kernel_restores () =
+  let k = boot () in
+  let m = k.Kernel.machine in
+  Machine.set_privilege m Machine.User;
+  (match
+     Kmem.as_kernel k.Kernel.kmem (fun () ->
+         Alcotest.(check bool) "kernel inside" true (Machine.privilege m = Machine.Kernel);
+         raise Escaped)
+   with
+  | () -> Alcotest.fail "as_kernel swallowed the exception"
+  | exception Escaped -> ());
+  Alcotest.(check bool) "user again after the raise" true
+    (Machine.privilege m = Machine.User);
+  Alcotest.(check int) "value passes through" 3 (Kmem.as_kernel k.Kernel.kmem (fun () -> 3));
+  Alcotest.(check bool) "user again after a return" true
+    (Machine.privilege m = Machine.User);
+  Machine.set_privilege m Machine.Kernel
+
 (* The central enforcement property, end to end through the kernel. *)
 let ghost_heap = Int64.add Layout.ghost_start 0x100000L
 
@@ -647,14 +669,14 @@ let test_cow_sharing_and_breaking () =
   user_write k p user_buf (Bytes.of_string "shared!");
   let child = expect_ok "fork" (Syscalls.fork k p) in
   let vpage = Int64.shift_right_logical user_buf 12 in
-  let parent_frame = Hashtbl.find p.Proc.user_frames vpage in
-  let child_frame = Hashtbl.find child.Proc.user_frames vpage in
+  let parent_frame = Tbl.Int64.find p.Proc.user_frames vpage in
+  let child_frame = Tbl.Int64.find child.Proc.user_frames vpage in
   Alcotest.(check int) "frame shared after fork" parent_frame child_frame;
   Alcotest.(check bool) "marked cow both sides" true
-    (Hashtbl.mem p.Proc.cow vpage && Hashtbl.mem child.Proc.cow vpage);
+    (Tbl.Int64.mem p.Proc.cow vpage && Tbl.Int64.mem child.Proc.cow vpage);
   (* Child write breaks the share. *)
   user_write k child user_buf (Bytes.of_string "private");
-  let child_frame' = Hashtbl.find child.Proc.user_frames vpage in
+  let child_frame' = Tbl.Int64.find child.Proc.user_frames vpage in
   Alcotest.(check bool) "child got its own frame" true (child_frame' <> parent_frame);
   Alcotest.(check string) "parent data intact" "shared!"
     (Bytes.to_string (user_read k p user_buf 7));
@@ -773,6 +795,73 @@ let test_netstack_details () =
   (* A real connection still goes through afterwards. *)
   let _ok = Netstack.Remote.connect (Machine.remote_nic k.Kernel.machine) ~port:8080 in
   ignore (expect_ok "accept" (Syscalls.accept k p ~fd:lfd))
+
+(* The harness side of the wire: two remote endpoints share one NIC, the
+   kernel answers both with frames of random sizes in a random
+   interleaving, and each endpoint must get back exactly its own bytes —
+   all at once through [recv_all_available], or frame by frame through
+   [recv] with the two endpoints taking turns. *)
+let prop_remote_recv =
+  let wire =
+    lazy
+      (let k = boot () in
+       let net = k.Kernel.net in
+       ignore (expect_ok "listen" (Netstack.listen net ~port:8000));
+       (net, Machine.remote_nic k.Kernel.machine))
+  in
+  let gen =
+    QCheck2.Gen.(
+      triple bool
+        (list_size (int_range 0 12)
+           (pair bool (string_size ~gen:char (int_range 0 2000))))
+        (list_size (int_range 1 8) bool))
+  in
+  let print (_, frames, _) =
+    String.concat " "
+      (List.map (fun (b, s) -> Printf.sprintf "%b:%d" b (String.length s)) frames)
+  in
+  QCheck2.Test.make ~name:"remote receive reassembles interleaved frames" ~count:100
+    ~print gen (fun (all_at_once, frames, turns) ->
+      let net, nic = Lazy.force wire in
+      let connect () =
+        let ep = Netstack.Remote.connect nic ~port:8000 in
+        match Netstack.accept net ~port:8000 with
+        | Some conn -> (ep, conn)
+        | None -> Alcotest.fail "no connection"
+      in
+      let (ep1, c1), (ep2, c2) = (connect (), connect ()) in
+      List.iter
+        (fun (first, s) ->
+          ignore (expect_ok "send" (Netstack.send net ~conn:(if first then c1 else c2) (Bytes.of_string s))))
+        frames;
+      let expect first =
+        String.concat "" (List.filter_map (fun (b, s) -> if b = first then Some s else None) frames)
+      in
+      let got1 = Buffer.create 64 and got2 = Buffer.create 64 in
+      if all_at_once then begin
+        Buffer.add_bytes got1 (Netstack.Remote.recv_all_available ep1);
+        Buffer.add_bytes got2 (Netstack.Remote.recv_all_available ep2)
+      end
+      else begin
+        (* Take turns as [turns] says; a side that ran dry stays dry. *)
+        let turns = Array.of_list turns and dry1 = ref false and dry2 = ref false in
+        let i = ref 0 in
+        while not (!dry1 && !dry2) do
+          let first = turns.(!i mod Array.length turns) in
+          incr i;
+          let first = if first then not !dry1 else !dry2 in
+          let ep, buf, dry = if first then (ep1, got1, dry1) else (ep2, got2, dry2) in
+          match Netstack.Remote.recv ep with
+          | Some b -> Buffer.add_bytes buf b
+          | None -> dry := true
+        done
+      end;
+      let drained = Netstack.Remote.recv ep1 = None && Netstack.Remote.recv ep2 = None in
+      Netstack.Remote.close ep1;
+      Netstack.Remote.close ep2;
+      Netstack.close net ~conn:c1;
+      Netstack.close net ~conn:c2;
+      drained && Buffer.contents got1 = expect true && Buffer.contents got2 = expect false)
 
 let prop_pipe_model =
   QCheck2.Test.make ~name:"pipe behaves like a byte queue" ~count:200
@@ -1584,6 +1673,8 @@ let () =
           Alcotest.test_case "mmap/munmap" `Quick test_mmap_munmap;
           Alcotest.test_case "page fault handler" `Quick test_page_fault_handler;
           Alcotest.test_case "kmem copy across hole" `Quick test_kmem_copy_across_hole;
+          Alcotest.test_case "as_kernel restores privilege" `Quick
+            test_kmem_as_kernel_restores;
           Alcotest.test_case "ghost isolation end-to-end" `Quick
             test_ghost_isolation_end_to_end;
           Alcotest.test_case "freegm syscall" `Quick test_freegm_syscall;
@@ -1617,6 +1708,7 @@ let () =
           Alcotest.test_case "select" `Quick test_select;
           Alcotest.test_case "netstack details" `Quick test_netstack_details;
           QCheck_alcotest.to_alcotest prop_pipe_model;
+          QCheck_alcotest.to_alcotest prop_remote_recv;
         ] );
       ( "modules",
         [

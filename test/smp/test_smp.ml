@@ -97,6 +97,28 @@ let test_spinlock_ownership () =
      Alcotest.fail "double release must raise"
    with Spinlock.Error _ -> ())
 
+exception Inside
+
+(* An exception escaping the critical section frees the lock on the way
+   out and reaches the caller unchanged; ownership is still enforced
+   afterwards. *)
+let test_spinlock_with_lock_raises () =
+  let m = Machine.create ~cpus:2 ~phys_frames:4096 ~disk_sectors:4096 ~seed:"m" () in
+  let l = Spinlock.create m ~name:"scoped" in
+  (match Spinlock.with_lock l (fun () -> raise Inside) with
+  | () -> Alcotest.fail "with_lock swallowed the exception"
+  | exception Inside -> ());
+  Alcotest.(check (option int)) "free after the raise" None (Spinlock.holder l);
+  Alcotest.(check int) "value passes through" 7 (Spinlock.with_lock l (fun () -> 7));
+  Alcotest.(check (option int)) "free after a return" None (Spinlock.holder l);
+  Spinlock.acquire l;
+  Machine.switch_core m 1;
+  (try
+     Spinlock.release l;
+     Alcotest.fail "non-owner release must raise"
+   with Spinlock.Error _ -> ());
+  Alcotest.(check (option int)) "still held by core 0" (Some 0) (Spinlock.holder l)
+
 (* Property: under arbitrary interleavings of acquire/release attempts
    from random cores, a release only ever succeeds on the owning core,
    and the lock is free iff the bookkeeping says so. *)
@@ -586,6 +608,8 @@ let () =
         [
           Alcotest.test_case "transfer charges" `Quick test_spinlock_transfer_charges;
           Alcotest.test_case "ownership enforced" `Quick test_spinlock_ownership;
+          Alcotest.test_case "with_lock releases on raise" `Quick
+            test_spinlock_with_lock_raises;
           QCheck_alcotest.to_alcotest prop_spinlock_owner;
         ] );
       ( "swap-integer",
