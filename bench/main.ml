@@ -754,7 +754,7 @@ let bechamel () =
   let open Toolkit in
   section "Bechamel: host-time microbenchmarks of the simulator itself";
   let key = Vg_crypto.Aes128.expand (Bytes.make 16 'k') in
-  let block = Bytes.make 16 'p' in
+  let block = Bytes.make 16 'p' and page = Bytes.make 4096 'p' in
   (* one sealed ghost-swap payload: a 24-byte header plus a 4 KB page *)
   let swap_payload = Bytes.make 4120 's' in
   let raw_key = Bytes.make 16 'k' and nonce = Bytes.make 8 'n' in
@@ -775,6 +775,12 @@ let bechamel () =
   ignore (Diskfs.mkdir k.Kernel.fs "/d");
   for i = 0 to 127 do
     ignore (Diskfs.create k.Kernel.fs (Printf.sprintf "/d/f%d" i))
+  done;
+  (* a 256-entry directory of swap-blob-like names: all share a
+     14-byte prefix and differ only in the last three bytes *)
+  ignore (Diskfs.mkdir k.Kernel.fs "/s");
+  for i = 0 to 255 do
+    ignore (Diskfs.create k.Kernel.fs (Printf.sprintf "/s/p3-ffffff00001%03x" i))
   done;
   let p = Kernel.init_process k in
   let user_va = 0x0000_0000_0060_0000L in
@@ -806,8 +812,13 @@ let bechamel () =
           (Staged.stage (fun () -> ignore (Vg_crypto.Ctr.open_ ~key:raw_key ~nonce sealed)));
         Test.make ~name:"sha256-block"
           (Staged.stage (fun () -> ignore (Vg_crypto.Sha256.digest block)));
+        Test.make ~name:"sha256-4k"
+          (Staged.stage (fun () -> ignore (Vg_crypto.Sha256.digest page)));
         Test.make ~name:"dir-lookup-128"
           (Staged.stage (fun () -> ignore (Diskfs.lookup k.Kernel.fs "/d/f100")));
+        Test.make ~name:"swap-dir-lookup"
+          (Staged.stage (fun () ->
+               ignore (Diskfs.lookup k.Kernel.fs "/s/p3-ffffff00001080")));
         Test.make ~name:"copyin-10k"
           (Staged.stage (fun () -> ignore (Kmem.read_bytes k.Kernel.kmem user_va ~len:10_000)));
         Test.make ~name:"copyout-32k"

@@ -7,7 +7,8 @@
     MixColumns fused into four 256-entry word tables per direction) are
     all derived at module initialisation from the GF(2^8) definition
     rather than transcribed, eliminating table typos.  The state is four
-    native-int column words. *)
+    32-bit column words in unboxed [int64] locals; the tables and the
+    key schedule hold one word per 8-byte slot of a [bytes] buffer. *)
 
 type key
 (** Expanded key schedule. *)

@@ -6,18 +6,34 @@ let normalize_key key =
   Bytes.blit key 0 padded 0 (Bytes.length key);
   padded
 
-let mac ~key msg =
+(* A key is kept as the two hash states every tag starts from: the
+   inner hash after [key xor ipad] and the outer hash after
+   [key xor opad].  A tag resumes copies of them, so the key blocks are
+   hashed once per key, not once per message. *)
+type key = { inner : Sha256.ctx; outer : Sha256.ctx }
+
+let derive key =
   let key = normalize_key key in
-  let ipad = Bytes.make block_size '\x36' and opad = Bytes.make block_size '\x5c' in
-  Bytes_util.xor_into ~src:key ~dst:ipad;
-  Bytes_util.xor_into ~src:key ~dst:opad;
-  let inner = Sha256.init () in
-  Sha256.update inner ipad;
-  Sha256.update inner msg;
-  let inner_digest = Sha256.finalize inner in
-  let outer = Sha256.init () in
-  Sha256.update outer opad;
-  Sha256.update outer inner_digest;
+  let after pad =
+    let block = Bytes.make block_size pad in
+    Bytes_util.xor_into ~src:key ~dst:block;
+    let ctx = Sha256.init () in
+    Sha256.update ctx block;
+    ctx
+  in
+  { inner = after '\x36'; outer = after '\x5c' }
+
+let start k = Sha256.copy k.inner
+
+let finish k inner =
+  let outer = Sha256.copy k.outer in
+  Sha256.update outer (Sha256.finalize inner);
   Sha256.finalize outer
+
+let mac ~key msg =
+  let k = derive key in
+  let ctx = start k in
+  Sha256.update ctx msg;
+  finish k ctx
 
 let verify ~key ~tag msg = Constant_time.equal tag (mac ~key msg)

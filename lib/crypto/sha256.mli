@@ -10,6 +10,11 @@ type ctx
 val init : unit -> ctx
 (** Fresh context. *)
 
+val copy : ctx -> ctx
+(** [copy ctx] is an independent context in the same state, so a
+    shared prefix (an HMAC key block) is hashed once and resumed many
+    times. *)
+
 val update : ctx -> bytes -> unit
 (** Absorb a buffer. *)
 

@@ -349,13 +349,23 @@ let dirent_name data off =
   in
   Bytes.sub_string data (off + 4) (len 0)
 
-(* [name] equals the stored name, compared in place. *)
+(* [name.[0 .. i]] equals the [i + 1] bytes at [data.[base]], compared
+   from [i] down.  Top level, so a compare allocates no closure. *)
+let rec same_down data base name i =
+  i < 0
+  || name.[i] <> '\000'
+     && Bytes.get data (base + i) = name.[i]
+     && same_down data base name (i - 1)
+
+(* [name] equals the stored name, compared in place: the terminator
+   first, then from the last byte back, because the names of one
+   directory often share a long prefix (every swap blob's name starts
+   [p<pid>-ffffff0000]) and differ only near the end. *)
 let name_matches data off name =
   let n = String.length name in
-  let rec same i =
-    i = n || (name.[i] <> '\000' && Bytes.get data (off + 4 + i) = name.[i] && same (i + 1))
-  in
-  n <= name_max && (n = name_max || Bytes.get data (off + 4 + n) = '\000') && same 0
+  n <= name_max
+  && (n = name_max || Bytes.get data (off + 4 + n) = '\000')
+  && same_down data (off + 4) name (n - 1)
 
 (* Live entries as [(name, ino)], in slot order. *)
 let dir_entries t inode =

@@ -57,7 +57,7 @@ type t = {
   permitted : (int, (int64, unit) Hashtbl.t) Hashtbl.t;
   app_keys : (int, bytes) Hashtbl.t;
   exec_cache : (string, bytes) Hashtbl.t; (* image digest -> app key *)
-  swap_key : bytes;
+  swap_key : Vg_crypto.Ctr.key; (* derived once, at boot *)
   (* Per-page freshness table, in VG-protected memory: (pid, va) of
      every swapped-out ghost page -> the version sealed into the only
      blob the VM will accept back.  A stale-but-valid blob is replay,
@@ -124,7 +124,8 @@ let boot ?(vg_key_bits = 256) ~mode machine =
           key)
   in
   let swap_key =
-    Bytes.sub (Vg_crypto.Hmac.mac ~key:storage_key (Bytes.of_string "vg-swap")) 0 16
+    Vg_crypto.Ctr.derive
+      (Bytes.sub (Vg_crypto.Hmac.mac ~key:storage_key (Bytes.of_string "vg-swap")) 0 16)
   in
   let trans_cache =
     Vg_compiler.Trans_cache.create
@@ -805,16 +806,16 @@ let freegm t ~pid ~pt ~va ~count =
 
    The native baseline "seals" nothing: the blob is the raw page, and
    swap-in restores whatever the kernel hands back — which is exactly
-   what the swap attack suite exploits. *)
+   what the swap attack suite exploits.
+
+   Under Virtual Ghost a blob lives in one VM-private buffer: swap-out
+   reads the page into it and seals in place; swap-in copies the
+   kernel's blob in once (the kernel's buffer is never read again nor
+   written), verifies the tag, and only then decrypts in place. *)
 
 let swap_header_size = 24
-
-let swap_header ~pid ~va ~version =
-  let h = Bytes.create swap_header_size in
-  Bytes.set_int64_le h 0 (Int64.of_int pid);
-  Bytes.set_int64_le h 8 va;
-  Bytes.set_int64_le h 16 (Int64.of_int version);
-  h
+let swap_page_off = 8 + swap_header_size
+let swap_payload_size = swap_header_size + 4096
 
 let swap_refuse t ~pid ~va detail =
   Machine.emit t.machine
@@ -827,9 +828,9 @@ let swap_refuse t ~pid ~va detail =
        });
   Error ("swap_in: " ^ detail)
 
-let map_ghost_page t ~pid ~pt ~va ~frame plain =
+let map_ghost_page t ~pid ~pt ~va ~frame src ~off =
   let phys = Int64.shift_left (Int64.of_int frame) 12 in
-  Phys_mem.write_bytes (Machine.mem t.machine) ~addr:phys plain;
+  Phys_mem.blit_from (Machine.mem t.machine) ~addr:phys src ~off ~len:4096;
   Tbl.Int.replace t.uses frame (Ghost_frame pid);
   Pagetable.map pt
     ~vpage:(Int64.shift_right_logical va 12)
@@ -840,12 +841,13 @@ let swap_out_ghost t ~pid ~pt ~va =
   | None -> Error "swap_out: page is not ghost memory of this process"
   | Some pte ->
       let frame = pte.Pagetable.frame in
+      let mem = Machine.mem t.machine in
       let phys = Int64.shift_left (Int64.of_int frame) 12 in
-      let plain = Phys_mem.read_bytes (Machine.mem t.machine) ~addr:phys ~len:4096 in
       let blob =
         match t.mode with
         | Native_build ->
             (* Baseline: the kernel stores the page as it is. *)
+            let plain = Phys_mem.read_bytes mem ~addr:phys ~len:4096 in
             Machine.charge ~tag:Obs.Tag.Copy t.machine (Cost.copy_cycles 4096);
             plain
         | Virtual_ghost ->
@@ -853,16 +855,21 @@ let swap_out_ghost t ~pid ~pt ~va =
                sealed image of this page will ever be accepted back. *)
             t.swap_epoch <- t.swap_epoch + 1;
             let version = t.swap_epoch in
-            let nonce = Bytes.create 8 in
-            Bytes.set_int64_le nonce 0 (Int64.of_int version);
             Hashtbl.replace t.swap_versions (pid, va) version;
-            let payload = Bytes.cat (swap_header ~pid ~va ~version) plain in
+            let blob = Bytes.create (8 + swap_payload_size + Vg_crypto.Ctr.tag_size) in
+            Bytes.set_int64_le blob 0 (Int64.of_int version) (* the nonce *);
+            Bytes.set_int64_le blob 8 (Int64.of_int pid);
+            Bytes.set_int64_le blob 16 va;
+            Bytes.set_int64_le blob 24 (Int64.of_int version);
+            Phys_mem.blit_to mem ~addr:phys blob ~off:swap_page_off ~len:4096;
             Machine.charge ~tag:Obs.Tag.Crypto t.machine
-              (Bytes.length payload * (Cost.aes_per_byte + Cost.sha_per_byte));
-            Bytes.cat nonce (Vg_crypto.Ctr.seal ~key:t.swap_key ~nonce payload)
+              (swap_payload_size * (Cost.aes_per_byte + Cost.sha_per_byte));
+            Vg_crypto.Ctr.seal_in_place t.swap_key ~nonce:(Bytes.sub blob 0 8) blob
+              ~pos:8 ~len:swap_payload_size;
+            blob
       in
       Pagetable.unmap pt ~vpage:(Int64.shift_right_logical va 12);
-      Phys_mem.zero_frame (Machine.mem t.machine) frame;
+      Phys_mem.zero_frame mem frame;
       Machine.charge ~tag:Obs.Tag.Zero t.machine Cost.zero_page;
       Tbl.Int.remove t.uses frame;
       (* The owner may be live on another core with this translation
@@ -882,7 +889,7 @@ let swap_in_ghost t ~pid ~pt ~va ~frame ~blob =
       let plain = Bytes.make 4096 '\000' in
       Bytes.blit blob 0 plain 0 (min 4096 (Bytes.length blob));
       Machine.charge ~tag:Obs.Tag.Copy t.machine (Cost.copy_cycles 4096);
-      map_ghost_page t ~pid ~pt ~va ~frame plain;
+      map_ghost_page t ~pid ~pt ~va ~frame plain ~off:0;
       Ok ()
   | Virtual_ghost -> (
       match Hashtbl.find_opt t.swap_versions (pid, va) with
@@ -893,40 +900,35 @@ let swap_in_ghost t ~pid ~pt ~va ~frame ~blob =
           else if Bytes.length blob < 8 + swap_header_size + Vg_crypto.Ctr.tag_size
           then swap_refuse t ~pid ~va "sealed blob truncated"
           else begin
-            let nonce = Bytes.sub blob 0 8 in
-            let sealed = Bytes.sub blob 8 (Bytes.length blob - 8) in
+            let priv = Bytes.copy blob in
+            let nonce = Bytes.sub priv 0 8 in
+            let len = Bytes.length priv - 8 (* ciphertext and tag *) in
             Machine.charge ~tag:Obs.Tag.Crypto t.machine
-              (Bytes.length sealed * (Cost.aes_per_byte + Cost.sha_per_byte));
-            match Vg_crypto.Ctr.open_ ~key:t.swap_key ~nonce sealed with
-            | None ->
+              (len * (Cost.aes_per_byte + Cost.sha_per_byte));
+            if not (Vg_crypto.Ctr.open_in_place t.swap_key ~nonce priv ~pos:8 ~len) then
+              swap_refuse t ~pid ~va "page integrity check failed (OS corrupted the blob)"
+            else if len - Vg_crypto.Ctr.tag_size <> swap_payload_size then
+              swap_refuse t ~pid ~va "sealed payload has the wrong shape"
+            else begin
+              let b_pid = Int64.to_int (Bytes.get_int64_le priv 8) in
+              let b_va = Bytes.get_int64_le priv 16 in
+              let b_version = Int64.to_int (Bytes.get_int64_le priv 24) in
+              if b_pid <> pid || b_va <> va then
                 swap_refuse t ~pid ~va
-                  "page integrity check failed (OS corrupted the blob)"
-            | Some payload when Bytes.length payload <> swap_header_size + 4096 ->
-                swap_refuse t ~pid ~va "sealed payload has the wrong shape"
-            | Some payload ->
-                let b_pid = Int64.to_int (Bytes.get_int64_le payload 0) in
-                let b_va = Bytes.get_int64_le payload 8 in
-                let b_version = Int64.to_int (Bytes.get_int64_le payload 16) in
-                if b_pid <> pid || b_va <> va then
-                  swap_refuse t ~pid ~va
-                    (Printf.sprintf
-                       "blob belongs to pid=%d va=%s (cross-page substitution)"
-                       b_pid (Vg_util.U64.to_hex b_va))
-                else if b_version <> expected then
-                  swap_refuse t ~pid ~va
-                    (Printf.sprintf
-                       "stale sealed page: version %d, current is %d (replay)"
-                       b_version expected)
-                else begin
-                  if Machine.tracing t.machine then
-                    Machine.emit t.machine (Obs.Event.Swap_in { pid; va; ok = true });
-                  Hashtbl.remove t.swap_versions (pid, va);
-                  let plain =
-                    Bytes.sub payload swap_header_size 4096
-                  in
-                  map_ghost_page t ~pid ~pt ~va ~frame plain;
-                  Ok ()
-                end
+                  (Printf.sprintf "blob belongs to pid=%d va=%s (cross-page substitution)"
+                     b_pid (Vg_util.U64.to_hex b_va))
+              else if b_version <> expected then
+                swap_refuse t ~pid ~va
+                  (Printf.sprintf "stale sealed page: version %d, current is %d (replay)"
+                     b_version expected)
+              else begin
+                if Machine.tracing t.machine then
+                  Machine.emit t.machine (Obs.Event.Swap_in { pid; va; ok = true });
+                Hashtbl.remove t.swap_versions (pid, va);
+                map_ghost_page t ~pid ~pt ~va ~frame priv ~off:swap_page_off;
+                Ok ()
+              end
+            end
           end)
 
 (* ------------------------------------------------------------------ *)

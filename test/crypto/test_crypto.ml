@@ -1,7 +1,8 @@
 (* Crypto substrate tests: published vectors (FIPS 197, FIPS 180-4,
    RFC 4231, RFC 8439) plus qcheck properties on round-trips,
-   arithmetic laws, and AES/CTR agreement with the bit-serial
-   reference in [Aes_oracle]. *)
+   arithmetic laws, AES/CTR agreement with the bit-serial reference in
+   [Aes_oracle], and SHA-256/HMAC agreement with the int32 reference
+   in [Sha256_oracle]. *)
 
 open Vg_crypto
 
@@ -312,6 +313,100 @@ let prop_seal_bit_flip =
       Ctr.open_ ~key ~nonce sealed = None)
 
 (* ------------------------------------------------------------------ *)
+(* Differential properties against the int32 SHA-256 oracle           *)
+
+(* Four in five messages stay within a few blocks; the rest reach past
+   two swap pages. *)
+let gen_msg =
+  gen_bytes QCheck2.Gen.(frequency [ (1, int_range 0 9000); (4, int_range 0 200) ])
+
+(* RFC 2104 from its definition, on the oracle hash. *)
+let oracle_hmac ~key msg =
+  let key = if Bytes.length key > 64 then Sha256_oracle.digest key else key in
+  let pad byte =
+    Bytes.init 64 (fun i ->
+        let k = if i < Bytes.length key then Char.code (Bytes.get key i) else 0 in
+        Char.chr (k lxor byte))
+  in
+  Sha256_oracle.digest
+    (Bytes.cat (pad 0x5c) (Sha256_oracle.digest (Bytes.cat (pad 0x36) msg)))
+
+let prop_sha256_matches_oracle =
+  QCheck2.Test.make ~name:"digest matches oracle" ~count:1000 ~print:print_len gen_msg
+    (fun msg -> Bytes.equal (Sha256.digest msg) (Sha256_oracle.digest msg))
+
+let prop_sha256_split =
+  QCheck2.Test.make ~name:"update_sub at random splits = digest" ~count:1000
+    ~print:(fun (m, cuts) ->
+      Printf.sprintf "%s, cuts %s" (print_len m)
+        (String.concat "," (List.map string_of_int cuts)))
+    QCheck2.Gen.(pair gen_msg (list_size (int_range 0 6) (int_bound max_int)))
+    (fun (msg, cuts) ->
+      let n = Bytes.length msg in
+      let cuts = List.sort compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let ctx = Sha256.init () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Sha256.update_sub ctx msg ~pos ~len:(cut - pos);
+            cut)
+          0 cuts
+      in
+      Sha256.update_sub ctx msg ~pos:last ~len:(n - last);
+      Bytes.equal (Sha256.finalize ctx) (Sha256.digest msg))
+
+let prop_hmac_matches_oracle =
+  QCheck2.Test.make ~name:"mac matches oracle HMAC" ~count:1000
+    ~print:(fun (k, m) -> Printf.sprintf "key %s, msg %s" (print_len k) (print_len m))
+    QCheck2.Gen.(pair (gen_bytes (int_range 0 130)) gen_msg)
+    (fun (key, msg) -> Bytes.equal (Hmac.mac ~key msg) (oracle_hmac ~key msg))
+
+(* A message sealed inside a larger buffer, between random guard bytes. *)
+let gen_slice =
+  let guard = gen_bytes (QCheck2.Gen.int_range 0 40) in
+  QCheck2.Gen.(quad gen_block gen_nonce gen_msg (pair guard guard))
+
+let print_slice (_, _, m, (pre, post)) =
+  Printf.sprintf "%s at %d, %d after" (print_len m) (Bytes.length pre) (Bytes.length post)
+
+let sealed_slice key nonce msg (pre, post) =
+  let pos = Bytes.length pre and len = Bytes.length msg in
+  let buf = Bytes.concat Bytes.empty [ pre; msg; Bytes.make Ctr.tag_size '?'; post ] in
+  Ctr.seal_in_place (Ctr.derive key) ~nonce buf ~pos ~len;
+  (buf, pos, len + Ctr.tag_size)
+
+let prop_slice_seal_open =
+  QCheck2.Test.make ~name:"slice seal/open = seal/open_" ~count:1000 ~print:print_slice
+    gen_slice (fun (key, nonce, msg, ((pre, post) as guards)) ->
+      let buf, pos, len = sealed_slice key nonce msg guards in
+      let sealed = Ctr.seal ~key ~nonce msg in
+      let guards_intact () =
+        Bytes.equal (Bytes.sub buf 0 pos) pre
+        && Bytes.equal (Bytes.sub buf (pos + len) (Bytes.length post)) post
+      in
+      Bytes.equal (Bytes.sub buf pos len) sealed
+      && guards_intact ()
+      && Ctr.open_in_place (Ctr.derive key) ~nonce buf ~pos ~len
+      && Bytes.equal (Bytes.sub buf pos (Bytes.length msg)) msg
+      && Ctr.open_ ~key ~nonce sealed = Some msg
+      && guards_intact ())
+
+let prop_slice_bit_flip =
+  QCheck2.Test.make ~name:"a flipped bit fails open_in_place" ~count:1000
+    ~print:(fun (k, n, m, g, bit) ->
+      Printf.sprintf "%s, bit %d" (print_slice (k, n, m, g)) bit)
+    QCheck2.Gen.(
+      map2 (fun (k, n, m, g) bit -> (k, n, m, g, bit)) gen_slice (int_bound max_int))
+    (fun (key, nonce, msg, guards, bit) ->
+      let buf, pos, len = sealed_slice key nonce msg guards in
+      let bit = bit mod (8 * len) in
+      let at = pos + (bit / 8) in
+      Bytes.set buf at (Char.chr (Char.code (Bytes.get buf at) lxor (1 lsl (bit mod 8))));
+      let before = Bytes.copy buf in
+      (not (Ctr.open_in_place (Ctr.derive key) ~nonce buf ~pos ~len))
+      && Bytes.equal buf before)
+
+(* ------------------------------------------------------------------ *)
 (* ChaCha20 (RFC 8439 section 2.3.2)                                   *)
 
 let test_chacha20_block () =
@@ -544,14 +639,16 @@ let () =
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "streaming split" `Quick test_sha256_streaming_split;
-        ] );
+        ]
+        @ qcheck [ prop_sha256_matches_oracle; prop_sha256_split ] );
       ( "hmac",
         [
           Alcotest.test_case "RFC 4231" `Quick test_hmac_rfc4231;
           Alcotest.test_case "long key" `Quick test_hmac_long_key;
           Alcotest.test_case "more RFC 4231" `Quick test_hmac_more_rfc4231;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
-        ] );
+        ]
+        @ qcheck [ prop_hmac_matches_oracle ] );
       ( "aes128",
         [
           Alcotest.test_case "FIPS 197" `Quick test_aes_fips197;
@@ -566,7 +663,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_ctr_roundtrip;
           Alcotest.test_case "seal/open" `Quick test_seal_open;
           Alcotest.test_case "nonce binds" `Quick test_seal_wrong_nonce;
-        ] );
+        ]
+        @ qcheck [ prop_slice_seal_open; prop_slice_bit_flip ] );
       ( "aes-properties",
         qcheck
           [

@@ -213,14 +213,47 @@ let test_fs_dir_scan_charges () =
   pin "create kernel work" create Vg_obs.Obs.Tag.Kernel_work 10666;
   pin "create mask" create Vg_obs.Obs.Tag.Mask 37331
 
+(* Dirent name compare edges: a stored name that is a proper prefix or
+   suffix of the probe (or the other way round) misses, a name holding
+   a NUL never matches, and 27-byte names (no terminator on disk) match
+   exactly. *)
+let test_fs_dirent_compare () =
+  let k = boot () in
+  let fs = k.Kernel.fs in
+  ignore (expect_ok "mkdir" (Diskfs.mkdir fs "/d"));
+  let create n = expect_ok ("create " ^ n) (Diskfs.create fs ("/d/" ^ n)) in
+  let found n = Result.to_option (Diskfs.lookup fs ("/d/" ^ n)) in
+  let check_found what expected n =
+    Alcotest.(check (option int)) what expected (found n)
+  in
+  let abc = create "p3-abc" and bcd = create "bcd" in
+  check_found "stored prefix of the probe" None "p3-abcd";
+  check_found "stored suffix of the probe" None "abcd";
+  check_found "probe prefix of the stored" None "p3-ab";
+  check_found "probe suffix of the stored" None "3-abc";
+  check_found "exact" (Some abc) "p3-abc";
+  check_found "exact (short)" (Some bcd) "bcd";
+  ignore (create "x\000y");
+  check_found "name holding a NUL" None "x\000y";
+  check_found "NUL after a stored name" None "bcd\000";
+  let long c = String.make 26 'q' ^ c in
+  let qa = create (long "a") and qb = create (long "b") in
+  check_found "27 bytes, last differs (a)" (Some qa) (long "a");
+  check_found "27 bytes, last differs (b)" (Some qb) (long "b");
+  check_found "27 bytes, first differs" None ("r" ^ String.sub (long "a") 1 26);
+  check_found "26-byte prefix of a 27-byte name" None (String.make 26 'q')
+
 (* One directory under random create/unlink/lookup/readdir/rename,
    checked against a slot-by-slot model: names of 1-27 bytes (prefix
-   pairs and exact 27-byte names among them), 28-byte names refused
-   with EINVAL, and a freed slot reused lowest-first — so readdir, in
-   slot order, must equal the model's live slots in order. *)
+   pairs and exact 27-byte names among them, and swap-blob-like names
+   that share a 15-byte prefix and differ only in the last byte or only
+   in the first), 28-byte names refused with EINVAL, and a freed slot
+   reused lowest-first — so readdir, in slot order, must equal the
+   model's live slots in order. *)
 let dir_names =
   [| "f1"; "f10"; "f100"; "a"; "ab"; "zz"; String.make 26 'n'; String.make 27 'n';
-     String.make 26 'n' ^ "m"; "m" ^ String.make 26 'n' |]
+     String.make 26 'n' ^ "m"; "m" ^ String.make 26 'n'; "p3-ffffff0000100";
+     "p3-ffffff0000101"; "q3-ffffff0000100"; "p3-ffffff000010"; "3-ffffff0000100" |]
 
 let prop_dir_model =
   let open QCheck2.Gen in
@@ -1651,6 +1684,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_diskfs_model;
           Alcotest.test_case "pure reads stay clean" `Quick test_fs_pure_reads_stay_clean;
           Alcotest.test_case "dir scan charges" `Quick test_fs_dir_scan_charges;
+          Alcotest.test_case "dirent compare edges" `Quick test_fs_dirent_compare;
           QCheck_alcotest.to_alcotest prop_dir_model;
         ] );
       ( "syscalls-files",

@@ -403,6 +403,72 @@ let test_swap_replay_detected () =
           | Error _ -> ()
           | Ok () -> Alcotest.fail "replayed swap page accepted"))
 
+(* The swap blob's wire format, from its definition:
+   nonce || Ctr.seal(swap_key, nonce, pid || va || version || page),
+   with the nonce and the three header fields 8-byte little-endian and
+   [swap_key] derived from the TPM storage key as at boot. *)
+let test_swap_wire_format () =
+  let machine, sva = boot () in
+  let pt = Sva.declare_address_space sva ~pid:5 in
+  check_ok "allocgm" (Sva.allocgm sva ~pid:5 ~pt ~va:ghost_va ~frames:[ 73 ]);
+  let page = Bytes.init 4096 (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  Phys_mem.write_bytes (Machine.mem machine) ~addr:(Int64.of_int (73 * 4096)) page;
+  match Sva.swap_out_ghost sva ~pid:5 ~pt ~va:ghost_va with
+  | Error e -> Alcotest.failf "swap out: %s" e
+  | Ok (_, blob) ->
+      let storage_key = Tpm.storage_key (Machine.tpm machine) in
+      let swap_key =
+        Bytes.sub (Vg_crypto.Hmac.mac ~key:storage_key (Bytes.of_string "vg-swap")) 0 16
+      in
+      let le64 v =
+        let b = Bytes.create 8 in
+        Bytes.set_int64_le b 0 v;
+        b
+      in
+      (* The first swap-out of this VM carries version 1. *)
+      let nonce = le64 1L in
+      let payload = Bytes.concat Bytes.empty [ le64 5L; le64 ghost_va; le64 1L; page ] in
+      let expected = Bytes.cat nonce (Vg_crypto.Ctr.seal ~key:swap_key ~nonce payload) in
+      Alcotest.(check int) "length" (Bytes.length expected) (Bytes.length blob);
+      Alcotest.(check bool) "nonce || seal (header || page)" true
+        (Bytes.equal expected blob)
+
+(* Swap-in works on its own copy: the kernel's blob buffer is never
+   written, whether the blob opens or is refused. *)
+let test_swap_in_leaves_blob () =
+  let machine, sva = boot () in
+  let pt = Sva.declare_address_space sva ~pid:5 in
+  check_ok "allocgm" (Sva.allocgm sva ~pid:5 ~pt ~va:ghost_va ~frames:[ 74 ]);
+  Machine.set_current_pt machine pt;
+  Machine.set_privilege machine Machine.User;
+  Machine.write_bytes_virt machine ghost_va (Bytes.of_string "ghost page payload");
+  Machine.set_privilege machine Machine.Kernel;
+  match Sva.swap_out_ghost sva ~pid:5 ~pt ~va:ghost_va with
+  | Error e -> Alcotest.failf "swap out: %s" e
+  | Ok (frame, blob) ->
+      let flip at b =
+        let b = Bytes.copy b in
+        Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+        b
+      in
+      List.iter
+        (fun (what, bad) ->
+          let seen = Bytes.copy bad in
+          (match Sva.swap_in_ghost sva ~pid:5 ~pt ~va:ghost_va ~frame ~blob:bad with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "%s accepted" what);
+          Alcotest.(check bool) (what ^ " left as it was") true (Bytes.equal seen bad))
+        [
+          ("tampered page", flip 100 blob);
+          ("tampered tag", flip (Bytes.length blob - 1) blob);
+        ];
+      let seen = Bytes.copy blob in
+      check_ok "swap in" (Sva.swap_in_ghost sva ~pid:5 ~pt ~va:ghost_va ~frame ~blob);
+      Alcotest.(check bool) "blob left as it was" true (Bytes.equal seen blob);
+      Machine.set_privilege machine Machine.User;
+      Alcotest.(check string) "restored" "ghost page payload"
+        (Bytes.to_string (Machine.read_bytes_virt machine ghost_va ~len:18))
+
 (* ------------------------------------------------------------------ *)
 (* Monotonic counters                                                  *)
 
@@ -554,6 +620,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_swap_roundtrip;
           Alcotest.test_case "tamper detected" `Quick test_swap_tamper_detected;
           Alcotest.test_case "replay detected" `Quick test_swap_replay_detected;
+          Alcotest.test_case "wire format" `Quick test_swap_wire_format;
+          Alcotest.test_case "blob buffer untouched" `Quick test_swap_in_leaves_blob;
         ] );
       ( "counters",
         [
